@@ -11,6 +11,7 @@ from .core import (
     GenericJoint,
     LawFormatError,
     UndefinedConditionalError,
+    block_entropies,
     block_joint,
     conditional_block,
     conditional_component,

@@ -3,17 +3,16 @@
 Exit codes: 0 on success (bounds certified), 1 when a certified bound is
 violated beyond tolerance (the alarm; it should never fire for valid input),
 2 on bad input or usage.  Reports go to stdout or --out; diagnostics go to
-stderr.  Identical invocations produce byte-identical output, and sweep
-parallelism (DEFINETTI_THREADS) never changes the bytes, only the wall time.
+stderr.  Identical invocations produce byte-identical output.  Sweep cells
+run one after another in one thread: the work is pure Python, so threads
+would only contend for the interpreter lock and for the laws' memo tables.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,16 +37,6 @@ _COMPARE_NOTES = {
     "pinsker_tv": "sqrt(thm_bound/2), certified total-variation bound",
     "df_tv_ref": "reference total-variation rate k(k-1)/(2n), not certified here",
 }
-
-
-def thread_count() -> int:
-    value = os.environ.get("DEFINETTI_THREADS")
-    if value:
-        count = int(value)
-        if count < 1:
-            raise ValueError("DEFINETTI_THREADS must be >= 1")
-        return count
-    return os.cpu_count() or 1
 
 
 def to_bits(cert_dict: dict) -> dict:
@@ -279,17 +268,7 @@ def cmd_sweep(args) -> int:
     for n, k in cells:
         if not 1 <= k <= n - 1:
             raise ValueError(f"cell (n={n}, k={k}) violates 1 <= k <= n-1")
-
-    def run_cell(cell):
-        n, k = cell
-        return certify(laws[n], k).as_dict()
-
-    threads = thread_count()
-    if threads == 1:
-        rows = [run_cell(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_cell, cells))
+    rows = [certify(laws[n], k).as_dict() for n, k in cells]
     if args.bits:
         rows = [to_bits(r) for r in rows]
     if args.format == "json":

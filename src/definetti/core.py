@@ -15,8 +15,9 @@ Conventions used throughout the package:
 * dense joint: :class:`GenericJoint`, an array of shape ``(m,)*L``
 
 All operations are pure.  ``ExchangeableLaw`` instances are immutable after
-construction; the private attributes only memoize derived tables, so sharing
-a law across threads is safe.
+construction; the private attributes only memoize derived tables (the
+marginal table, the block entropies and the tail informations).  They are
+filled lazily without locking, so a law is meant for one thread at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import fsum
+from math import fsum, log
 from pathlib import Path
 import json
 
@@ -37,6 +38,12 @@ from .serialize import render_json
 #: the certification tolerances, so it is an explicit error rather than a
 #: silent loss of exactness.
 MAX_LENGTH = 30
+
+#: Largest number of types of one block length that :func:`enumerate_types`
+#: will list.  Tables are built per type, so a request beyond this (m=10,
+#: n=30 has about 2.1e8 types) is refused up front instead of running out of
+#: time or memory.
+MAX_TYPES = 10**5
 
 
 class LawFormatError(ValueError):
@@ -59,6 +66,12 @@ def enumerate_types(m: int, length: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("alphabet size must be >= 1")
     if length < 0:
         raise ValueError("length must be >= 0")
+    count = math.comb(length + m - 1, m - 1)
+    if count > MAX_TYPES:
+        raise ValueError(
+            f"m={m}, length={length} has {count} types, more than the supported "
+            f"{MAX_TYPES}"
+        )
     if m == 1:
         return ((length,),)
     out = []
@@ -130,7 +143,7 @@ class ExchangeableLaw:
     probability zero.
     """
 
-    __slots__ = ("m", "n", "q", "_marginals", "_cmi_tables", "_block_mi")
+    __slots__ = ("m", "n", "q", "_marginals", "_entropies", "_block_mi")
 
     def __init__(self, m: int, n: int, type_probs, *, tol: float = 1e-12,
                  validate: bool = True):
@@ -159,7 +172,7 @@ class ExchangeableLaw:
         else:
             self.q = dict(type_probs)
         self._marginals = None
-        self._cmi_tables: dict[int, list[float]] = {}
+        self._entropies = None
         self._block_mi: dict[tuple[int, int], float] = {}
 
     def seq_prob(self, t) -> float:
@@ -227,6 +240,23 @@ def _marginal_table(law: ExchangeableLaw):
             tbl[length - 1] = cur
         law._marginals = tbl
     return tbl
+
+
+def block_entropies(law: ExchangeableLaw) -> list[float]:
+    """Block entropies H_L = H(X_1^L) for L = 0..n, in nats, memoized.
+
+    Every sequence of a type T has the same probability q_L(T), so
+    H_L = -sum_T multiplicity(T) q_L(T) log q_L(T).  By exchangeability every
+    conditional information in the bound chain is a signed sum of these.
+    """
+    ent = law._entropies
+    if ent is None:
+        ent = [
+            fsum(-multiplicity(t) * p * log(p) for t, p in row.items() if p > 0.0)
+            for row in _marginal_table(law)
+        ]
+        law._entropies = ent
+    return ent
 
 
 def marginal(law: ExchangeableLaw, k: int) -> ExchangeableLaw:

@@ -7,6 +7,10 @@ through sums.  0 log 0 = 0 throughout.  Zeros are never thresholded; they
 come exactly from the constructions.  Accumulation uses math.fsum over a
 fixed lexicographic term order, so values are reproducible well below the
 certification tolerances.
+
+Conditional informations of an exchangeable law are signed sums of its block
+entropies (:func:`definetti.core.block_entropies`); block-to-block mutual
+informations are summed over type pairs of a :class:`BlockJoint`.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from .core import (
     BlockJoint,
     ExchangeableLaw,
     GenericJoint,
-    _add,
-    _marginal_table,
+    block_entropies,
     block_joint,
     enumerate_types,
     multiplicity,
@@ -105,48 +108,18 @@ def mutual_information(bj: BlockJoint) -> float:
     return max(0.0, fsum(terms))
 
 
-def _cmi_table(law: ExchangeableLaw, cond_len: int) -> list[float]:
-    """I(first i-1 coords; coord i | disjoint block of cond_len) for all i.
-
-    Computed for every feasible i in one pass: each positive-probability
-    conditioning type w yields one conditional exchangeable law whose
-    marginal chain serves all i simultaneously.  Cached on the law.
-    """
-    tab = law._cmi_tables.get(cond_len)
-    if tab is not None:
-        return tab
-    m, n = law.m, law.n
-    rem = n - cond_len
-    tbl = _marginal_table(law)
-    full = tbl[n]
-    terms: list[list[float]] = [[] for _ in range(rem + 1)]
-    for w in enumerate_types(m, cond_len):
-        pseq = tbl[cond_len][w]
-        if pseq <= 0.0:
-            continue
-        pw = multiplicity(w) * pseq
-        cond_q = {t: full[_add(t, w)] / pseq for t in enumerate_types(m, rem)}
-        cond = ExchangeableLaw(m, rem, cond_q, validate=False)
-        for i in range(2, rem + 1):
-            terms[i].append(pw * mutual_information(block_joint(cond, i - 1, 1)))
-    tab = [0.0] * (rem + 1)
-    for i in range(2, rem + 1):
-        tab[i] = fsum(terms[i])
-    law._cmi_tables[cond_len] = tab
-    return tab
-
-
 def conditional_mutual_information(law: ExchangeableLaw, i: int, cond_len: int) -> float:
     """I(X_1^{i-1}; X_i | W) where W is any disjoint block of ``cond_len``.
 
-    Positions are immaterial by exchangeability; only block sizes matter.
+    Positions are immaterial by exchangeability; only block sizes matter, and
+    the value is H_{i-1+c} + H_{1+c} - H_{i+c} - H_c with c = ``cond_len``.
     ``i = 1`` gives 0 (empty first block).
     """
     if i < 1 or cond_len < 0 or i + cond_len > law.n:
         raise ValueError("need i >= 1, cond_len >= 0 and i + cond_len <= n")
-    if i == 1:
-        return 0.0
-    return _cmi_table(law, cond_len)[i]
+    h = block_entropies(law)
+    c = cond_len
+    return max(0.0, fsum((h[i - 1 + c], h[1 + c], -h[i + c], -h[c])))
 
 
 def lemma1_decomposition(j: GenericJoint) -> tuple[float, list[float]]:
@@ -178,7 +151,9 @@ def lemma2_check(law: ExchangeableLaw, i: int, k: int) -> tuple[float, float]:
     lhs sums I(X_1^{i-1}; X_i | block of length mm-k) over mm = k..n; rhs is
     I(X_1^{i-1}; X_k^n).  For exchangeable laws the chain rule makes these
     equal; the general statement is only lhs <= rhs.  Both are returned so
-    callers can assert whichever applies.
+    callers can assert whichever applies.  The lhs comes from the block
+    entropies and the rhs from the type-pair joint, so the two sides are
+    computed independently and their agreement is a check, not an identity.
     """
     if not 1 <= i <= k <= law.n - 1:
         raise ValueError("need 1 <= i <= k <= n-1")

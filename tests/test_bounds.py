@@ -8,7 +8,7 @@ import pytest
 import definetti as df
 
 import oracle as orc
-from corpus import BERN_MIX, fixture_corpus
+from corpus import BERN_MIX, dirichlet_corpus, fixture_corpus
 
 
 def test_tail_mi_trivia():
@@ -43,6 +43,28 @@ def test_cond_mi_sum_trivia_and_oracle():
         assert df.cond_mi_sum(law, 2, mm) == pytest.approx(
             orc.cond_mi_sum_d(arr, 2, mm), abs=1e-10
         )
+
+
+def test_cond_mi_sum_every_endpoint_matches_oracle():
+    laws = [law for _, law in fixture_corpus() if law.n <= 6 and law.m <= 3]
+    laws += [law for _, law in dirichlet_corpus(range(3), ns=(4, 5, 6))]
+    for law in laws:
+        arr = orc.dense_from_law(law)
+        for k in range(1, law.n + 1):
+            for mm in range(k, law.n + 1):
+                assert df.cond_mi_sum(law, k, mm) == pytest.approx(
+                    orc.cond_mi_sum_d(arr, k, mm), abs=1e-12
+                ), (law, k, mm)
+
+
+@pytest.mark.parametrize("m, n", [(2, 30), (3, 20), (4, 14)])
+def test_select_mstar_iid_ties_to_smallest_endpoint(m, n):
+    # every endpoint is exactly 0 for i.i.d. laws, so block-entropy rounding
+    # noise must stay under MSTAR_TIE_TOL at the largest supported sizes
+    for p in ((1 / m,) * m, tuple(np.arange(1, m + 1) / (m * (m + 1) / 2))):
+        law = df.iid(p, n)
+        for k in range(1, n):
+            assert df.select_mstar(law, k)[0] == k, (p, k)
 
 
 def test_select_mstar_iid_and_k1():

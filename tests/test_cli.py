@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -120,6 +121,50 @@ def test_certify_csv_frozen_regression(polya_law_path, capsys):
         "0.13862943611198905,0.055555555555555608,0.11374643292659004,"
         "0.16666666666666666,8.9587973461402743,0.99270826523090128,5\n"
     )
+
+
+def test_sweep_csv_frozen_regression(capsys):
+    code, out, _ = run_inproc(
+        ["sweep", "--kind", "random_dirichlet", "--alphabet-size", "3",
+         "--seed", "0", "--n", "9", "--k", "2..6"],
+        capsys,
+    )
+    assert code == 0
+    # frozen from the per-conditioning-type CMI implementation; its m_star
+    # values lie strictly inside the endpoint range
+    assert out == (
+        "n,k,m_star,D,thm_bound,cor_bound_H,cor_bound_logA,tv,pinsker_tv,df_tv_ref,first_bound,second_rate,atom_count\n"
+        "9,2,6,0.0085991323399320363,0.057056599996449693,0.13654572195224529,0.13732653608351372,0.064455822757320008,0.16890322672531999,0.1111111111111111,,1.2280740519185027,15\n"
+        "9,3,7,0.018853979484417187,0.13734108632550587,0.46815676097912667,0.47083383800061845,0.078374846071392959,0.2620506499949064,0.33333333333333331,,1.0986122886681098,15\n"
+        "9,4,7,0.047565570601898435,0.24681550721589018,1.0923657756179623,1.0986122886681098,0.12370279533717352,0.35129439734778733,0.66666666666666663,,0.93638155725299765,10\n"
+        "9,5,8,0.070090500044224055,0.39475160088206185,2.1847315512359247,2.1972245773362196,0.15248723940851294,0.44426996346932002,1.1111111111111112,,0.75882932142956894,10\n"
+        "9,6,8,0.1625411494276203,0.59643893548582183,4.0963716585673584,4.1197960825054114,0.22517900595918389,0.54609474246041856,1.6666666666666667,,0.57341425495563925,6\n"
+    )
+
+
+def test_certify_oversized_law_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "alphabet_size": 10, "n": 30,
+        "type_probs": [{"counts": [30] + [0] * 9, "seq_prob": 1.0}],
+    }))
+    code, out, err = run_inproc(["certify", "--law", str(path), "--k", "2"], capsys)
+    assert code == 2
+    assert not out
+    assert "types" in err
+
+
+def test_generate_oversized_exits_2_quickly(capsys):
+    t0 = time.monotonic()
+    code, out, err = run_inproc(
+        ["generate", "--kind", "random_dirichlet", "--alphabet-size", "10",
+         "--n", "30", "--seed", "0"],
+        capsys,
+    )
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert not out
+    assert "types" in err
 
 
 def test_certify_bits_conversion(polya_law_path, capsys):

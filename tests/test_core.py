@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import definetti as df
-from definetti.core import FILE_NORM_TOL
+from definetti.core import FILE_NORM_TOL, MAX_TYPES
 
 import oracle as orc
 from corpus import fixture_corpus
@@ -26,6 +26,21 @@ def test_enumerate_types_errors():
         df.enumerate_types(0, 3)
     with pytest.raises(ValueError):
         df.enumerate_types(2, -1)
+    assert math.comb(30 + 5 - 1, 5 - 1) <= MAX_TYPES  # m=5, n=30 stays supported
+    with pytest.raises(ValueError, match="types"):
+        df.enumerate_types(10, 30)  # C(39, 9) ~ 2.1e8 types
+
+
+def test_block_entropies_iid_and_oracle():
+    p = (0.2, 0.5, 0.3)
+    law = df.iid(p, 6)
+    h1 = df.entropy(np.array(p))
+    for length, h in enumerate(df.block_entropies(law)):
+        assert h == pytest.approx(length * h1, abs=1e-13)
+    law = df.polya((2, 1, 1), 5)
+    arr = orc.dense_from_law(law)
+    for length, h in enumerate(df.block_entropies(law)):
+        assert h == pytest.approx(orc.entropy_d(orc.marginal_d(arr, length)), abs=1e-13)
 
 
 def test_multiplicity_values():
