@@ -46,7 +46,6 @@ from .bounds import (
     build_mixing_measure,
     certify,
     cond_mi_sum,
-    mixture_dist,
     select_mstar,
     tail_mi,
 )
@@ -65,6 +64,7 @@ from .optimizer import (
     component_grid,
     fit_mixture_weights,
     improve_certificate,
+    mixture_dist,
 )
 
 __version__ = "0.1.0"

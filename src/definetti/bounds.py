@@ -6,7 +6,8 @@ Given an exchangeable law on A^n and a prefix length k <= n-1, the pipeline
    endpoint and picks the minimizing endpoint ``m_star``,
 2. builds a finite mixing measure whose atoms are the single-letter
    conditional laws given each positive-probability conditioning type,
-3. assembles the induced mixture of i.i.d. distributions on A^k, and
+3. evaluates the induced mixture of i.i.d. distributions on A^k at each
+   k-type, and
 4. certifies the inequality chain
 
        D(prefix law || mixture)  <=  thm_bound
@@ -16,6 +17,12 @@ Given an exchangeable law on A^n and a prefix length k <= n-1, the pipeline
    with c = k(k-1)/(2(n-k+1)) and thm_bound the average of the tail
    informations I(X_1^{i-1}; X_k^n) over i = 1..k, plus the Pinsker
    total-variation bound tv <= sqrt(thm_bound/2).
+
+The prefix law and the mixture are both exchangeable, so each is constant on
+type classes and the map from a sequence to its type is sufficient: D and tv
+equal the same quantities between the two laws of the k-type (Diaconis &
+Freedman 1980).  They are computed over the C(k+m-1, m-1) types, never over
+the m**k sequences.
 
 A violation beyond tolerance raises :class:`CertificationError` carrying all
 intermediate values; that exception is the package's alarm and should never
@@ -32,14 +39,11 @@ import numpy as np
 
 from .core import (
     ExchangeableLaw,
-    GenericJoint,
     _marginal_table,
     block_entropies,
     block_joint,
     conditional_component,
-    densify,
     enumerate_types,
-    marginal,
     multiplicity,
     single_letter_marginal,
 )
@@ -209,17 +213,39 @@ def build_mixing_measure(law: ExchangeableLaw, k: int, m_star: int) -> MixingMea
     )
 
 
-def mixture_dist(mu: MixingMeasure, k: int) -> GenericJoint:
-    """The mixture of k-fold products induced by a mixing measure."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    acc = np.zeros((mu.m,) * k)
-    for w, comp in zip(mu.weights, mu.components):
-        block = comp
-        for _ in range(k - 1):
-            block = np.multiply.outer(block, comp)
-        acc += w * block
-    return GenericJoint(mu.m, acc)
+#: Largest atoms x types block evaluated at once by :func:`_type_masses`.
+TYPE_BLOCK_ENTRIES = 2**18
+
+
+def _type_masses(law: ExchangeableLaw, mu: MixingMeasure, k: int):
+    """Masses of each k-type under the prefix law and under the mixture.
+
+    Returns (P, Q) over ``enumerate_types(m, k)`` with P_T = mult(T) p_T, p_T
+    the prefix's per-sequence probability, and Q_T = mult(T) q_T with
+    q_T = sum_j w_j prod_a c_j[a]**T_a.  The products are built one symbol at
+    a time over blocks of types, so no atoms x types x m array is formed.
+    Powers come from the C library's ``pow`` (as logs come from its ``log``)
+    and each q_T is an fsum over the atoms, so the values depend neither on
+    numpy's SIMD or BLAS kernels nor on the block size.
+    """
+    types = enumerate_types(law.m, k)
+    row = _marginal_table(law)[k]
+    mult = np.array([multiplicity(t) for t in types], dtype=float)
+    prefix = np.array([row[t] for t in types])
+    counts = np.array(types)
+    weights = np.array(mu.weights)[:, None]
+    powers = np.array(
+        [[[c**e for e in range(k + 1)] for c in comp.tolist()] for comp in mu.components]
+    )
+    mix = np.empty(len(types))
+    step = max(1, TYPE_BLOCK_ENTRIES // len(weights))
+    for lo in range(0, len(types), step):
+        part = counts[lo : lo + step]
+        block = np.ones((len(weights), len(part)))
+        for a in range(law.m):
+            block *= powers[:, a, part[:, a]]
+        mix[lo : lo + step] = [fsum(col) for col in (weights * block).T.tolist()]
+    return mult * prefix, mult * mix
 
 
 def certify(law: ExchangeableLaw, k: int, tol: float = 1e-9) -> Certificate:
@@ -236,9 +262,8 @@ def certify(law: ExchangeableLaw, k: int, tol: float = 1e-9) -> Certificate:
 
     m_star, achieved = select_mstar(law, k)
     mu = build_mixing_measure(law, k, m_star)
-    mixture = mixture_dist(mu, k)
-    prefix = densify(marginal(law, k))
-    D = relative_entropy(prefix.probs, mixture.probs)
+    prefix, mixture = _type_masses(law, mu, k)
+    D = relative_entropy(prefix, mixture)
 
     tails = [tail_mi(law, i, k) for i in range(1, k + 1)]
     thm_bound = fsum(tails) / (n - k + 1)
@@ -247,7 +272,7 @@ def certify(law: ExchangeableLaw, k: int, tol: float = 1e-9) -> Certificate:
     cor_bound_H = coef * h1
     cor_bound_logA = coef * math.log(m)
 
-    tv = total_variation(prefix.probs, mixture.probs)
+    tv = total_variation(prefix, mixture)
     pinsker_tv = math.sqrt(thm_bound / 2.0)
     df_tv_ref = k * (k - 1) / (2.0 * n)
     first_bound = 5.0 * k * k * math.log(n) / (n - k) if m == 2 else None

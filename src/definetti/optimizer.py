@@ -5,7 +5,9 @@ weight simplex by multiplicative (EM-type) updates: descent is monotone by
 construction, iterates stay on the simplex without projection, and the
 objective is convex in the weights so every interior start reaches the same
 value.  Component locations are never optimized; that keeps the problem
-convex and is out of scope by design.
+convex and is out of scope by design.  The fit works on the dense k-prefix
+of m**k entries; ``mixture_dist`` expands a mixing measure to the same dense
+form.
 
 ``adversarial_search`` is a seeded random-restart coordinate ascent over
 type-class masses that tries to make the certified divergence large relative
@@ -20,7 +22,7 @@ from math import inf, log
 
 import numpy as np
 
-from .bounds import Certificate, build_mixing_measure, certify
+from .bounds import Certificate, MixingMeasure, build_mixing_measure, certify
 from .core import ExchangeableLaw, GenericJoint, densify, enumerate_types, marginal, multiplicity
 
 
@@ -29,7 +31,10 @@ class FitResult:
     """Outcome of one multiplicative-update run.
 
     ``trace`` holds the objective after every iteration, starting with the
-    initial value; it is nonincreasing (within 1e-12 per step).
+    initial value; it is nonincreasing (within 1e-12 per step).  ``gap`` is
+    the certified optimality gap log max_j sum_x t(x) C_j(x) / M_w(x) at the
+    returned weights: the divergence is at most ``gap`` above the minimum
+    over the simplex (Lindsay 1983).  It is not part of :meth:`as_dict`.
     """
 
     weights: np.ndarray
@@ -37,6 +42,7 @@ class FitResult:
     iterations: int
     trace: tuple[float, ...]
     converged: bool
+    gap: float
 
     def as_dict(self) -> dict:
         return {
@@ -68,6 +74,14 @@ def _product_rows(components, k: int, m: int) -> np.ndarray:
             out = np.multiply.outer(out, block)
         rows[j] = out.ravel()
     return rows
+
+
+def mixture_dist(mu: MixingMeasure, k: int) -> GenericJoint:
+    """The mixture of k-fold products induced by a mixing measure, as a dense joint."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    mix = np.asarray(mu.weights) @ _product_rows(mu.components, k, mu.m)
+    return GenericJoint(mu.m, mix.reshape((mu.m,) * k))
 
 
 def fit_mixture_weights(
@@ -118,7 +132,7 @@ def fit_mixture_weights(
         # no weight vector can cover the target support
         frozen = w.copy()
         frozen.flags.writeable = False
-        return FitResult(frozen, inf, 0, (inf,), True)
+        return FitResult(frozen, inf, 0, (inf,), True, 0.0)
 
     mix = w @ rows_s
     if np.any(mix == 0.0):
@@ -139,9 +153,10 @@ def fit_mixture_weights(
         if decrease < tol:
             converged = True
             break
+    gap = log(float(np.max(rows_s @ (ts / mix))))
     w = w.copy()
     w.flags.writeable = False
-    return FitResult(w, max(0.0, div), iterations, tuple(trace), converged)
+    return FitResult(w, max(0.0, div), iterations, tuple(trace), converged, gap)
 
 
 def improve_certificate(

@@ -1,11 +1,14 @@
 """Mixture construction, endpoint selection, and the certified bound chain."""
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 import definetti as df
+import definetti.core as core
 
 import oracle as orc
 from corpus import BERN_MIX, dirichlet_corpus, fixture_corpus
@@ -228,6 +231,79 @@ def test_certified_D_matches_oracle():
             assert cert.D == pytest.approx(
                 orc.certify_D_d(arr, k, cert.m_star), abs=1e-12
             ), (name, k)
+
+
+def test_certified_tv_matches_oracle():
+    for name, law in fixture_corpus():
+        if law.n > 6 or law.m > 3:
+            continue
+        arr = orc.dense_from_law(law)
+        for k in range(1, law.n):
+            cert = df.certify(law, k)
+            dense = orc.tv_d(orc.marginal_d(arr, k), orc.mixture_d(arr, k, cert.m_star))
+            assert abs(cert.tv - dense) <= 1e-12, (name, k)
+
+
+def _reference_D_tv(law, k, m_star):
+    """D and tv at 50 digits from the float type law and the float atoms."""
+    mu = df.build_mixing_measure(law, k, m_star)
+    row = core._marginal_table(law)[k]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = tv = Decimal(0)
+        for t in df.enumerate_types(law.m, k):
+            mult = df.multiplicity(t)
+            q = Decimal(0)
+            for w, comp in zip(mu.weights, mu.components):
+                term = Decimal(w)
+                for c, count in zip(comp.tolist(), t):
+                    term *= Decimal(c) ** count
+                q += term
+            P, Q = mult * Decimal(row[t]), mult * q
+            if P > 0:
+                D += P * (P.ln() - Q.ln())
+            tv += abs(P - Q)
+        return D, tv / 2
+
+
+@pytest.mark.parametrize(
+    "law, ks",
+    [
+        (df.polya((1, 1), 6), [2]),
+        (df.random_dirichlet(0, 3, 9), range(2, 7)),
+        (df.random_dirichlet(0, 2, 30), [20]),
+    ],
+    ids=["polya-frozen", "sweep-frozen", "binary-n30-k20"],
+)
+def test_certified_D_tv_match_high_precision_reference(law, ks):
+    # the polya and sweep laws are those of the frozen CSV tests in test_cli
+    for k in ks:
+        cert = df.certify(law, k)
+        D, tv = _reference_D_tv(law, k, cert.m_star)
+        assert abs(Decimal(cert.D) - D) <= Decimal("1e-15"), k
+        assert abs(Decimal(cert.tv) - tv) <= Decimal("1e-15"), k
+
+
+@pytest.mark.parametrize("m, n", [(2, 30), (3, 20)])
+def test_certify_every_k_without_dense_arrays(m, n, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("certify expanded a law to its m**k sequences")
+
+    monkeypatch.setattr(core, "_type_index", refuse)
+    for law in (df.random_dirichlet(0, m, n), df.polya((1,) * m, n)):
+        for k in range(1, n):
+            cert = df.certify(law, k)
+            assert cert.D <= cert.thm_bound + 1e-9, k
+            assert cert.thm_bound <= cert.cor_bound_H + 1e-9, k
+            assert cert.cor_bound_H <= cert.cor_bound_logA + 1e-9, k
+            assert cert.tv <= cert.pinsker_tv + 1e-9, k
+
+
+def test_type_block_size_does_not_change_certificates(monkeypatch):
+    law = df.random_dirichlet(2, 4, 14)
+    before = [df.certify(law, k).as_dict() for k in (3, 7, 11)]
+    monkeypatch.setattr(df.bounds, "TYPE_BLOCK_ENTRIES", 7)
+    assert [df.certify(law, k).as_dict() for k in (3, 7, 11)] == before
 
 
 def test_extendability_trend():

@@ -79,6 +79,24 @@ def test_fit_multi_start_consistency():
     assert max(finals) - min(finals) <= 1e-7
 
 
+def test_fit_gap_is_nonnegative_and_bounds_the_optimum():
+    for _, law in fixture_corpus()[:6]:
+        target = df.densify(df.marginal(law, 2))
+        grid = df.component_grid(law.m, 6)
+        short = df.fit_mixture_weights(target, grid, max_iter=50)
+        longer = df.fit_mixture_weights(target, grid, max_iter=500)
+        assert short.gap >= -1e-15
+        # the gap certifies how far the short run can be from the optimum
+        assert short.divergence - short.gap <= longer.divergence + 1e-12
+
+
+def test_fit_gap_unreachable_support_and_as_dict_keys():
+    fit = df.fit_mixture_weights(df.densify(df.diaconis_pair()), [np.array([1.0, 0.0])])
+    assert fit.gap == 0.0
+    fit = df.fit_mixture_weights(df.densify(df.iid((0.3, 0.7), 2)), df.component_grid(2, 4))
+    assert tuple(fit.as_dict()) == ("weights", "divergence", "iterations", "converged", "trace")
+
+
 def test_fit_argument_errors():
     target = df.densify(df.iid((0.5, 0.5), 2))
     with pytest.raises(ValueError):
