@@ -18,6 +18,10 @@ Given an exchangeable law on A^n and a prefix length k <= n-1, the pipeline
    informations I(X_1^{i-1}; X_k^n) over i = 1..k, plus the Pinsker
    total-variation bound tv <= sqrt(thm_bound/2).
 
+The endpoint values of step 1 and the tail informations are signed sums of
+the block entropies (:func:`definetti.core.block_entropies`), so no step sums
+over pairs of block types.
+
 The prefix law and the mixture are both exchangeable, so each is constant on
 type classes and the map from a sequence to its type is sufficient: D and tv
 equal the same quantities between the two laws of the k-type (Diaconis &
@@ -41,18 +45,12 @@ from .core import (
     ExchangeableLaw,
     _marginal_table,
     block_entropies,
-    block_joint,
     conditional_component,
     enumerate_types,
     multiplicity,
     single_letter_marginal,
 )
-from .info import (
-    entropy,
-    mutual_information,
-    relative_entropy,
-    total_variation,
-)
+from .info import entropy, relative_entropy, total_variation
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,17 +130,16 @@ class CertificationError(RuntimeError):
 
 
 def tail_mi(law: ExchangeableLaw, i: int, k: int) -> float:
-    """I(X_1^{i-1}; X_k^n): information between a prefix and the tail block."""
+    """I(X_1^{i-1}; X_k^n) = H_{i-1} + H_{n-k+1} - H_{i+n-k} by exchangeability.
+
+    ``i = 1`` gives exactly 0 (empty first block), whatever the rounding of H_0.
+    """
     if not 1 <= i <= k <= law.n - 1:
         raise ValueError("need 1 <= i <= k <= n-1")
     if i == 1:
         return 0.0
-    key = (i - 1, law.n - k + 1)
-    value = law._block_mi.get(key)
-    if value is None:
-        value = mutual_information(block_joint(law, key[0], key[1]))
-        law._block_mi[key] = value
-    return value
+    h = block_entropies(law)
+    return max(0.0, fsum((h[i - 1], h[law.n - k + 1], -h[i + law.n - k])))
 
 
 def cond_mi_sum(law: ExchangeableLaw, k: int, mm: int) -> float:

@@ -18,8 +18,8 @@ Conventions used throughout the package:
 
 All operations are pure.  ``ExchangeableLaw`` instances are immutable after
 construction; the private attributes only memoize derived tables (the
-marginal table, the block entropies and the tail informations).  They are
-filled lazily without locking, so a law is meant for one thread at a time.
+marginal table and the block entropies).  They are filled lazily without
+locking, so a law is meant for one thread at a time.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class ExchangeableLaw:
     probability zero.
     """
 
-    __slots__ = ("m", "n", "q", "_marginals", "_entropies", "_block_mi")
+    __slots__ = ("m", "n", "q", "_marginals", "_entropies")
 
     def __init__(self, m: int, n: int, type_probs, *, tol: float = 1e-12,
                  validate: bool = True):
@@ -175,7 +175,6 @@ class ExchangeableLaw:
             self.q = dict(type_probs)
         self._marginals = None
         self._entropies = None
-        self._block_mi: dict[tuple[int, int], float] = {}
 
     def seq_prob(self, t) -> float:
         """Probability of one sequence whose type is ``t``."""

@@ -8,9 +8,10 @@ come exactly from the constructions.  Accumulation uses math.fsum over a
 fixed lexicographic term order, so values are reproducible well below the
 certification tolerances.
 
-Conditional informations of an exchangeable law are signed sums of its block
-entropies (:func:`definetti.core.block_entropies`); block-to-block mutual
-informations are summed over type pairs of a :class:`BlockJoint`.
+Conditional and tail informations of an exchangeable law are signed sums of
+its block entropies (:func:`definetti.core.block_entropies`).  Type-pair sums
+over a :class:`BlockJoint` (:func:`mutual_information`) serve only the public
+API and the independent right-hand side of :func:`lemma2_check`.
 """
 
 from __future__ import annotations

@@ -35,6 +35,18 @@ def test_tail_mi_mixture_entropy_gap_bound():
                 assert df.tail_mi(law, i, k) <= (i - 1) * (h1 - hmin) + 1e-10
 
 
+def test_tail_mi_matches_type_pair_mutual_information():
+    # the dense oracle stops at small n; the type-pair sum reaches n=12
+    laws = [law for _, law in fixture_corpus()]
+    laws += [law for _, law in dirichlet_corpus(range(3), ns=range(4, 13))]
+    for law in laws:
+        n = law.n
+        for k in range(1, n):
+            for i in range(1, k + 1):
+                pairs = df.mutual_information(df.block_joint(law, i - 1, n - k + 1))
+                assert df.tail_mi(law, i, k) == pytest.approx(pairs, abs=1e-12), (law, i, k)
+
+
 def test_cond_mi_sum_trivia_and_oracle():
     iid_law = df.iid((0.25, 0.75), 5)
     assert df.cond_mi_sum(iid_law, 2, 2) <= 1e-13
@@ -68,6 +80,16 @@ def test_select_mstar_iid_ties_to_smallest_endpoint(m, n):
         law = df.iid(p, n)
         for k in range(1, n):
             assert df.select_mstar(law, k)[0] == k, (p, k)
+
+
+@pytest.mark.parametrize("m, n", [(2, 30), (3, 20), (4, 14)])
+def test_certify_iid_thm_bound_stays_at_rounding_noise(m, n):
+    # every tail information is exactly 0 for i.i.d. laws; block-entropy
+    # rounding must neither show above 1e-13 nor trip the chain checks
+    for p in ((1 / m,) * m, tuple(np.arange(1, m + 1) / (m * (m + 1) / 2))):
+        law = df.iid(p, n)
+        for k in range(1, n):
+            assert df.certify(law, k).thm_bound <= 1e-13, (p, k)
 
 
 def test_select_mstar_iid_and_k1():
@@ -284,6 +306,51 @@ def test_certified_D_tv_match_high_precision_reference(law, ks):
         assert abs(Decimal(cert.tv) - tv) <= Decimal("1e-15"), k
 
 
+def _reference_thm_pinsker(law, k):
+    """thm_bound and pinsker_tv at 50 digits from the float law.
+
+    The marginal table and the block entropies are recomputed in decimal from
+    ``law.q``, so the only float inputs are the stored probabilities.
+    """
+    m, n = law.m, law.n
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        row = {t: Decimal(law.q.get(t, 0.0)) for t in df.enumerate_types(m, n)}
+        h = [Decimal(0)] * (n + 1)
+        for length in range(n, -1, -1):
+            if length < n:
+                row = {
+                    t: sum(row[t[:a] + (t[a] + 1,) + t[a + 1 :]] for a in range(m))
+                    for t in df.enumerate_types(m, length)
+                }
+            h[length] = -sum(
+                (df.multiplicity(t) * p * p.ln() for t, p in row.items() if p > 0),
+                Decimal(0),
+            )
+        tails = (h[i - 1] + h[n - k + 1] - h[i + n - k] for i in range(2, k + 1))
+        thm = sum(tails, Decimal(0)) / (n - k + 1)
+        return thm, (thm / 2).sqrt()
+
+
+@pytest.mark.parametrize(
+    "law, ks",
+    [
+        (df.polya((1, 1), 6), [2]),
+        (df.random_dirichlet(0, 3, 9), range(2, 7)),
+        (df.random_dirichlet(0, 2, 30), [20]),
+    ],
+    ids=["polya-frozen", "sweep-frozen", "binary-n30-k20"],
+)
+def test_thm_bound_pinsker_match_high_precision_reference(law, ks):
+    # the block entropies of the binary n=30 law reach 17 nats, whose ulp is
+    # 3.6e-15; the tail informations are differences of them
+    for k in ks:
+        cert = df.certify(law, k)
+        thm, pinsker = _reference_thm_pinsker(law, k)
+        assert abs(Decimal(cert.thm_bound) - thm) <= Decimal("2e-15"), k
+        assert abs(Decimal(cert.pinsker_tv) - pinsker) <= Decimal("2e-15"), k
+
+
 @pytest.mark.parametrize("m, n", [(2, 30), (3, 20)])
 def test_certify_every_k_without_dense_arrays(m, n, monkeypatch):
     def refuse(*args):
@@ -297,6 +364,26 @@ def test_certify_every_k_without_dense_arrays(m, n, monkeypatch):
             assert cert.thm_bound <= cert.cor_bound_H + 1e-9, k
             assert cert.cor_bound_H <= cert.cor_bound_logA + 1e-9, k
             assert cert.tv <= cert.pinsker_tv + 1e-9, k
+
+
+@pytest.mark.parametrize(
+    "law",
+    [df.random_dirichlet(0, 4, 30), df.polya((1, 1, 1, 1), 30)],
+    ids=["dirichlet", "polya"],
+)
+def test_certify_every_k_without_type_pairs(law, monkeypatch):
+    # at (m, n) = (4, 30) one tail information over type pairs takes seconds
+    def refuse(*args):
+        raise AssertionError("certify summed over pairs of block types")
+
+    for module in (core, df.info, df.bounds):
+        for name in ("block_joint", "mutual_information"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for k in range(1, law.n):
+        cert = df.certify(law, k)
+        assert cert.D <= cert.thm_bound + 1e-9, k
+        assert cert.tv <= cert.pinsker_tv + 1e-9, k
 
 
 def test_type_block_size_does_not_change_certificates(monkeypatch):

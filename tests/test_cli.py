@@ -114,13 +114,14 @@ def test_certify_csv_frozen_regression(polya_law_path, capsys):
     )
     assert code == 0
     # frozen from the first certified run (oracle-verified); the D and tv cells
-    # were re-frozen when D and tv moved to sums over k-types (within 1e-15 of a
-    # 50-digit reference, see test_bounds)
+    # were re-frozen when D and tv moved to sums over k-types, and the thm_bound
+    # and pinsker_tv cells when the tail informations moved to block entropies
+    # (each within 2e-15 of a 50-digit reference, see test_bounds)
     assert out == (
         "n,k,m_star,D,thm_bound,cor_bound_H,cor_bound_logA,tv,pinsker_tv,"
         "df_tv_ref,first_bound,second_rate,atom_count\n"
-        "6,2,6,0.0066240247173338165,0.025876502007046491,0.13862943611198905,"
-        "0.13862943611198905,0.05555555555555558,0.11374643292659004,"
+        "6,2,6,0.0066240247173338165,0.025876502007046453,0.13862943611198905,"
+        "0.13862943611198905,0.05555555555555558,0.11374643292658995,"
         "0.16666666666666666,8.9587973461402743,0.99270826523090128,5\n"
     )
 
@@ -134,15 +135,17 @@ def test_sweep_csv_frozen_regression(capsys):
     assert code == 0
     # frozen from the per-conditioning-type CMI implementation; its m_star
     # values lie strictly inside the endpoint range.  The D and tv cells were
-    # re-frozen when they moved to sums over k-types (each within 1e-15 of a
-    # 50-digit reference, see test_bounds); every other cell is unchanged.
+    # re-frozen when they moved to sums over k-types, and the thm_bound and
+    # pinsker_tv cells when the tail informations moved to block entropies
+    # (each within 2e-15 of a 50-digit reference, see test_bounds); every other
+    # cell is unchanged.
     assert out == (
         "n,k,m_star,D,thm_bound,cor_bound_H,cor_bound_logA,tv,pinsker_tv,df_tv_ref,first_bound,second_rate,atom_count\n"
-        "9,2,6,0.0085991323399319738,0.057056599996449693,0.13654572195224529,0.13732653608351372,0.06445582275731998,0.16890322672531999,0.1111111111111111,,1.2280740519185027,15\n"
-        "9,3,7,0.018853979484417086,0.13734108632550587,0.46815676097912667,0.47083383800061845,0.078374846071392973,0.2620506499949064,0.33333333333333331,,1.0986122886681098,15\n"
-        "9,4,7,0.047565570601898359,0.24681550721589018,1.0923657756179623,1.0986122886681098,0.12370279533717352,0.35129439734778733,0.66666666666666663,,0.93638155725299765,10\n"
+        "9,2,6,0.0085991323399319738,0.057056599996449686,0.13654572195224529,0.13732653608351372,0.06445582275731998,0.16890322672531996,0.1111111111111111,,1.2280740519185027,15\n"
+        "9,3,7,0.018853979484417086,0.13734108632550615,0.46815676097912667,0.47083383800061845,0.078374846071392973,0.26205064999490668,0.33333333333333331,,1.0986122886681098,15\n"
+        "9,4,7,0.047565570601898359,0.24681550721589032,1.0923657756179623,1.0986122886681098,0.12370279533717352,0.35129439734778745,0.66666666666666663,,0.93638155725299765,10\n"
         "9,5,8,0.070090500044223944,0.39475160088206185,2.1847315512359247,2.1972245773362196,0.15248723940851294,0.44426996346932002,1.1111111111111112,,0.75882932142956894,10\n"
-        "9,6,8,0.16254114942762032,0.59643893548582183,4.0963716585673584,4.1197960825054114,0.22517900595918389,0.54609474246041856,1.6666666666666667,,0.57341425495563925,6\n"
+        "9,6,8,0.16254114942762032,0.59643893548582161,4.0963716585673584,4.1197960825054114,0.22517900595918389,0.54609474246041845,1.6666666666666667,,0.57341425495563925,6\n"
     )
 
 
@@ -178,6 +181,15 @@ def test_certify_largest_k_at_n30_exits_0(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["k"] == 29 and payload["D"] <= payload["thm_bound"]
+
+
+def test_certify_m4_n30_mid_k_exits_0(tmp_path, capsys):
+    path = tmp_path / "quaternary30.json"
+    df.save_law(df.random_dirichlet(0, 4, 30), path)
+    code, out, _ = run_inproc(["certify", "--law", str(path), "--k", "15"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["k"] == 15 and payload["D"] <= payload["thm_bound"]
 
 
 def test_certify_bits_conversion(polya_law_path, capsys):
