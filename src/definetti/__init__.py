@@ -64,7 +64,6 @@ from .optimizer import (
     component_grid,
     fit_mixture_weights,
     improve_certificate,
-    mixture_dist,
 )
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ Given an exchangeable law on A^n and a prefix length k <= n-1, the pipeline
 2. builds a finite mixing measure whose atoms are the single-letter
    conditional laws given each positive-probability conditioning type,
 3. evaluates the induced mixture of i.i.d. distributions on A^k at each
-   k-type, and
+   k-type, with the evaluator that ``iid_mixture`` and the weight fit use, and
 4. certifies the inequality chain
 
        D(prefix law || mixture)  <=  thm_bound
@@ -50,6 +50,7 @@ from .core import (
     multiplicity,
     single_letter_marginal,
 )
+from .generators import _mixture_masses
 from .info import entropy, relative_entropy, total_variation
 
 
@@ -210,39 +211,18 @@ def build_mixing_measure(law: ExchangeableLaw, k: int, m_star: int) -> MixingMea
     )
 
 
-#: Largest atoms x types block evaluated at once by :func:`_type_masses`.
-TYPE_BLOCK_ENTRIES = 2**18
-
-
 def _type_masses(law: ExchangeableLaw, mu: MixingMeasure, k: int):
     """Masses of each k-type under the prefix law and under the mixture.
 
-    Returns (P, Q) over ``enumerate_types(m, k)`` with P_T = mult(T) p_T, p_T
-    the prefix's per-sequence probability, and Q_T = mult(T) q_T with
-    q_T = sum_j w_j prod_a c_j[a]**T_a.  The products are built one symbol at
-    a time over blocks of types, so no atoms x types x m array is formed.
-    Powers come from the C library's ``pow`` (as logs come from its ``log``)
-    and each q_T is an fsum over the atoms, so the values depend neither on
-    numpy's SIMD or BLAS kernels nor on the block size.
+    Returns (P, Q) over ``enumerate_types(m, k)``: P_T = mult(T) p_T with p_T
+    the prefix's per-sequence probability, and Q_T = mult(T) q_T with q_T from
+    :func:`definetti.generators._mixture_masses`.
     """
     types = enumerate_types(law.m, k)
     row = _marginal_table(law)[k]
     mult = np.array([multiplicity(t) for t in types], dtype=float)
     prefix = np.array([row[t] for t in types])
-    counts = np.array(types)
-    weights = np.array(mu.weights)[:, None]
-    powers = np.array(
-        [[[c**e for e in range(k + 1)] for c in comp.tolist()] for comp in mu.components]
-    )
-    mix = np.empty(len(types))
-    step = max(1, TYPE_BLOCK_ENTRIES // len(weights))
-    for lo in range(0, len(types), step):
-        part = counts[lo : lo + step]
-        block = np.ones((len(weights), len(part)))
-        for a in range(law.m):
-            block *= powers[:, a, part[:, a]]
-        mix[lo : lo + step] = [fsum(col) for col in (weights * block).T.tolist()]
-    return mult * prefix, mult * mix
+    return mult * prefix, mult * _mixture_masses(mu.weights, mu.components, types)
 
 
 def certify(law: ExchangeableLaw, k: int, tol: float = 1e-9) -> Certificate:

@@ -13,8 +13,8 @@ Conventions used throughout the package:
 * type vector: tuple of ``m`` nonnegative ints summing to the block length
 * letter distribution: 1-D numpy array on the m-simplex
 * dense joint: :class:`GenericJoint`, an array of shape ``(m,)*L``.  Its
-  size grows as m**L, so only the weight optimizer, ``lemma1_decomposition``
-  and the tests use it; certification works on types throughout.
+  size grows as m**L, so only ``lemma1_decomposition`` and the tests use it;
+  certification and the weight fit work on types throughout.
 
 All operations are pure.  ``ExchangeableLaw`` instances are immutable after
 construction; the private attributes only memoize derived tables (the

@@ -33,6 +33,46 @@ def as_letter_dist(p, tol: float = 1e-12) -> np.ndarray:
     return out
 
 
+#: Largest components x types block of :func:`_component_table`.
+TYPE_BLOCK_ENTRIES = 2**18
+
+
+def _component_table(components, types):
+    """prod_a c_j[a]**T_a for each component j (rows) and type T (columns).
+
+    Yields the table in column blocks of at most ``TYPE_BLOCK_ENTRIES``
+    entries, in the order of ``types``, which share one length.  Powers come
+    from the C library's ``pow`` and the products are taken one symbol at a
+    time, so the values do not depend on numpy's SIMD kernels.
+    """
+    counts = np.array(types, dtype=np.intp)
+    m = counts.shape[1]
+    comps = [np.asarray(c, dtype=float).ravel().tolist() for c in components]
+    if any(len(c) != m for c in comps):
+        raise ValueError("component alphabet mismatch")
+    powers = np.array([[[x**e for e in range(sum(types[0]) + 1)] for x in c] for c in comps])
+    step = max(1, TYPE_BLOCK_ENTRIES // len(comps))
+    for lo in range(0, len(counts), step):
+        part = counts[lo : lo + step]
+        table = np.ones((len(comps), len(part)))
+        for a in range(m):
+            table *= powers[:, a, part[:, a]]
+        yield table
+
+
+def _mixture_masses(weights, components, types) -> np.ndarray:
+    """Per-sequence mixture probabilities q_T = sum_j w_j prod_a c_j[a]**T_a.
+
+    Each q_T is an fsum over the components, so the values do not depend on
+    the block size.
+    """
+    w = np.array(weights, dtype=float)[:, None]
+    out = []
+    for table in _component_table(components, types):
+        out += [fsum(col) for col in (w * table).T.tolist()]
+    return np.array(out)
+
+
 def iid_mixture(components, n: int) -> ExchangeableLaw:
     """Mixture of i.i.d. laws: q(T) = sum_j w_j prod_a Q_j(a)^{T_a}.
 
@@ -40,6 +80,7 @@ def iid_mixture(components, n: int) -> ExchangeableLaw:
     Mixtures are projective: the k-marginal equals the same mixture at
     length k.
     """
+    components = list(components)
     if not components:
         raise ValueError("need at least one component")
     weights = [float(w) for w, _ in components]
@@ -48,15 +89,9 @@ def iid_mixture(components, n: int) -> ExchangeableLaw:
         raise ValueError("weights must be nonnegative")
     if abs(fsum(weights) - 1.0) > 1e-12:
         raise ValueError("weights must sum to 1")
-    m = dists[0].size
-    if any(d.size != m for d in dists):
-        raise ValueError("components must share one alphabet")
-    q = {}
-    for t in enumerate_types(m, n):
-        q[t] = fsum(
-            w * float(np.prod(d**np.array(t))) for w, d in zip(weights, dists)
-        )
-    return ExchangeableLaw(m, n, q)
+    types = enumerate_types(dists[0].size, n)
+    q = dict(zip(types, _mixture_masses(weights, dists, types).tolist()))
+    return ExchangeableLaw(dists[0].size, n, q)
 
 
 def iid(dist, n: int) -> ExchangeableLaw:

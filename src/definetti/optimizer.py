@@ -5,9 +5,9 @@ weight simplex by multiplicative (EM-type) updates: descent is monotone by
 construction, iterates stay on the simplex without projection, and the
 objective is convex in the weights so every interior start reaches the same
 value.  Component locations are never optimized; that keeps the problem
-convex and is out of scope by design.  The fit works on the dense k-prefix
-of m**k entries; ``mixture_dist`` expands a mixing measure to the same dense
-form.
+convex and is out of scope by design.  The fit runs on the k-types, not on
+the m**k sequences: the type is sufficient, so the objective and the EM
+update are unchanged (Diaconis & Freedman 1980).
 
 ``adversarial_search`` is a seeded random-restart coordinate ascent over
 type-class masses that tries to make the certified divergence large relative
@@ -22,8 +22,9 @@ from math import inf, log
 
 import numpy as np
 
-from .bounds import Certificate, MixingMeasure, build_mixing_measure, certify
-from .core import ExchangeableLaw, GenericJoint, densify, enumerate_types, marginal, multiplicity
+from .bounds import Certificate, build_mixing_measure, certify
+from .core import ExchangeableLaw, enumerate_types, marginal, multiplicity
+from .generators import _component_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,10 +32,11 @@ class FitResult:
     """Outcome of one multiplicative-update run.
 
     ``trace`` holds the objective after every iteration, starting with the
-    initial value; it is nonincreasing (within 1e-12 per step).  ``gap`` is
-    the certified optimality gap log max_j sum_x t(x) C_j(x) / M_w(x) at the
-    returned weights: the divergence is at most ``gap`` above the minimum
-    over the simplex (Lindsay 1983).  It is not part of :meth:`as_dict`.
+    initial value; it is nonincreasing (within 1e-12 per step).
+    ``converged`` only says that one EM step improved by less than ``tol``.
+    ``gap`` = log max_j sum_T t(T) C_j(T) / M_w(T) at the returned weights
+    bounds the distance to the optimum: the divergence is at most ``gap``
+    above the minimum over the simplex (Lindsay 1983).
     """
 
     weights: np.ndarray
@@ -50,6 +52,7 @@ class FitResult:
             "divergence": self.divergence,
             "iterations": self.iterations,
             "converged": self.converged,
+            "gap": self.gap,
             "trace": list(self.trace),
         }
 
@@ -63,29 +66,8 @@ def component_grid(m: int, resolution: int) -> list[np.ndarray]:
     ]
 
 
-def _product_rows(components, k: int, m: int) -> np.ndarray:
-    rows = np.empty((len(components), m**k))
-    for j, comp in enumerate(components):
-        block = np.asarray(comp, dtype=float)
-        if block.size != m:
-            raise ValueError("component alphabet mismatch")
-        out = block
-        for _ in range(k - 1):
-            out = np.multiply.outer(out, block)
-        rows[j] = out.ravel()
-    return rows
-
-
-def mixture_dist(mu: MixingMeasure, k: int) -> GenericJoint:
-    """The mixture of k-fold products induced by a mixing measure, as a dense joint."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    mix = np.asarray(mu.weights) @ _product_rows(mu.components, k, mu.m)
-    return GenericJoint(mu.m, mix.reshape((mu.m,) * k))
-
-
 def fit_mixture_weights(
-    target: GenericJoint,
+    target: ExchangeableLaw,
     components,
     max_iter: int = 100_000,
     tol: float = 1e-12,
@@ -93,9 +75,11 @@ def fit_mixture_weights(
 ) -> FitResult:
     """Minimize D(target || mixture of k-fold products) over the weights.
 
-    The update w_j <- w_j * sum_x target(x) C_j(x) / M_w(x) is the exact EM
-    step for this objective, so the trace decreases monotonically and stops
-    once an iteration improves by less than ``tol`` (or at ``max_iter``).
+    It runs on the k-types of ``target`` (k = ``target.n``), with masses
+    t(T) = mult(T) q(T) and C_j(T) = mult(T) prod_a C_j[a]^T_a.  The update
+    w_j <- w_j * sum_T t(T) C_j(T) / M_w(T) is the exact EM step for this
+    objective, so the trace decreases monotonically and stops once an
+    iteration improves by less than ``tol`` (or at ``max_iter``).
 
     If some target-support point is unreachable by every component the
     divergence is +inf for all weights; that is reported as a converged
@@ -105,13 +89,13 @@ def fit_mixture_weights(
     components = list(components)
     if not components:
         raise ValueError("need at least one component")
-    k = target.length
-    if k < 1:
+    if target.n < 1:
         raise ValueError("target must have at least one coordinate")
-    m = target.m
-    rows = _product_rows(components, k, m)
+    types = enumerate_types(target.m, target.n)
+    mult = np.array([multiplicity(t) for t in types], dtype=float)
+    rows = mult * np.hstack(list(_component_table(components, types)))
 
-    t = target.probs.ravel()
+    t = mult * np.array([target.seq_prob(u) for u in types])
     support = t > 0.0
     ts = t[support]
     rows_s = np.ascontiguousarray(rows[:, support])
@@ -180,7 +164,7 @@ def improve_certificate(
     components = list(mu.components)
     if not atoms_only:
         components += component_grid(law.m, grid_resolution)
-    target = densify(marginal(law, k))
+    target = marginal(law, k)
 
     init = np.zeros(len(components))
     init[: mu.atom_count] = mu.weights

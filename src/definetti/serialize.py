@@ -63,10 +63,11 @@ def render_json(obj: Any, indent: int = 0) -> str:
             f"{pad}  {json.dumps(str(key))}: {render_json(val, indent + 1)}"
             for key, val in obj.items()
         )
-        return "{\n" + inner + "\n" + pad + "}"
+        # one f-string, so a large report (an optimizer trace) is copied once
+        return f"{{\n{inner}\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
+        return f"[\n{inner}\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

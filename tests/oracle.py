@@ -222,3 +222,30 @@ def mixture_d(arr, k, m_star):
 
 def certify_D_d(arr, k, m_star):
     return kl_d(marginal_d(arr, k), mixture_d(arr, k, m_star))
+
+
+# ---------------------------------------------------------------------------
+# weight fit on the dense joint
+# ---------------------------------------------------------------------------
+
+def product_d(comp, k):
+    """The k-fold product of a letter distribution, as an array of shape (m,)*k."""
+    out = np.ones(())
+    for _ in range(k):
+        out = np.multiply.outer(out, np.asarray(comp, dtype=float))
+    return out
+
+
+def em_fit_d(target, comps, init, iterations):
+    """Plain EM for D(target || sum_j w_j comp_j^k) over sequences, fixed step count.
+
+    Returns (weights, divergence) after ``iterations`` updates.
+    """
+    t = np.asarray(target).ravel()
+    support = t > 0.0
+    rows = np.array([product_d(c, np.ndim(target)).ravel()[support] for c in comps])
+    w = np.asarray(init, dtype=float) / np.sum(init)
+    for _ in range(iterations):
+        w = w * (rows @ (t[support] / (w @ rows)))
+        w = w / w.sum()
+    return w, kl_d(t[support], w @ rows)

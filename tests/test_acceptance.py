@@ -7,7 +7,6 @@ criteria through module-scoped fixtures, so derived tables are computed once.
 
 import itertools
 import math
-import os
 import subprocess
 import sys
 import time
@@ -147,8 +146,12 @@ def test_criterion_3_oracle_equivalence(corpus):
             track(value - d_value)
             cert = df.certify(law, k)
             mu = df.build_mixing_measure(law, k, cert.m_star)
+            # the per-sequence mixture values certify uses: Q_T / mult(T)
+            _, masses = df.bounds._type_masses(law, mu, k)
+            types, idx = _type_index(m, k)
+            per_seq = masses / np.array([df.multiplicity(t) for t in types], dtype=float)
             track(np.max(np.abs(
-                df.mixture_dist(mu, k).probs - orc.mixture_d(arr, k, cert.m_star)
+                per_seq[idx].reshape((m,) * k) - orc.mixture_d(arr, k, cert.m_star)
             )))
             track(cert.D - orc.certify_D_d(arr, k, cert.m_star))
     assert checked >= 500
@@ -212,7 +215,7 @@ def test_criterion_7_optimizer_contract(corpus):
         assert fit.divergence <= cert.D + SLACK, name
 
     law = df.polya((1, 1), 6)
-    target = df.densify(df.marginal(law, 2))
+    target = df.marginal(law, 2)
     grid = df.component_grid(2, 10)
     finals = []
     for seed in range(10):
@@ -227,14 +230,9 @@ def test_criterion_7_optimizer_contract(corpus):
     )
 
 
-def _run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.update(env_extra or {})
+def _run_cli(args):
     return subprocess.run(
-        [sys.executable, "-m", "definetti", *args],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-m", "definetti", *args], capture_output=True, text=True
     )
 
 
@@ -259,14 +257,23 @@ def test_criterion_8_cli_determinism(tmp_path):
         assert first.returncode == second.returncode
         assert first.stdout == second.stdout, args
 
-    sweep = commands[3]
-    serial = _run_cli(sweep, {"DEFINETTI_THREADS": "1"})
-    parallel = _run_cli(sweep, {"DEFINETTI_THREADS": "8"})
-    assert serial.returncode == parallel.returncode == 0
-    assert serial.stdout == parallel.stdout
+    # every sweep row is byte-identical to certifying that cell on its own
+    swept = _run_cli(commands[3]).stdout.splitlines()
+    mix_flags = commands[3][1:7]  # --kind, --components and --weights
+    lines = []
+    for n in range(5, 9):
+        path = str(tmp_path / f"mix{n}.json")
+        gen = _run_cli(["generate", *mix_flags, "--n", str(n), "-o", path])
+        assert gen.returncode == 0, gen.stderr
+        for k in (2, 3):
+            one = _run_cli(["certify", "--law", path, "--k", str(k), "--format", "csv"])
+            assert one.returncode == 0, one.stderr
+            header, row = one.stdout.splitlines()
+            lines.append(row)
+    assert swept == [header] + lines
     report(
         f"CRITERION 8: PASS - {len(commands)} commands byte-identical on rerun; "
-        "sweep identical at DEFINETTI_THREADS=1 and 8"
+        f"{len(lines)} sweep rows identical to per-cell certify --format csv"
     )
 
 
@@ -280,8 +287,7 @@ def test_criterion_9_diaconis_boundary(tmp_path):
     assert result.returncode == 2
     assert "k must satisfy" in result.stderr
 
-    target = df.densify(pair)
-    fit = df.fit_mixture_weights(target, df.component_grid(2, 100))
+    fit = df.fit_mixture_weights(pair, df.component_grid(2, 100))
     assert fit.divergence >= math.log(2) - 1e-12  # strictly positive floor
     assert fit.divergence == pytest.approx(0.6931471830577823, abs=1e-9)
     report(

@@ -11,7 +11,7 @@ import definetti as df
 import definetti.core as core
 
 import oracle as orc
-from corpus import BERN_MIX, dirichlet_corpus, fixture_corpus
+from corpus import BERN_MIX, TRI_MIX, dirichlet_corpus, fixture_corpus
 
 
 def test_tail_mi_trivia():
@@ -154,27 +154,23 @@ def test_build_mixing_measure_polya_against_oracle():
         )
 
 
-def test_mixture_dist_shapes_and_exchangeability():
-    single = df.MixingMeasure(
-        m=2, k=3, m_star=3, weights=(1.0,),
-        components=(np.array([0.3, 0.7]),), conditioning_types=((0, 0),),
-    )
-    got = df.mixture_dist(single, 3)
-    q = np.array([0.3, 0.7])
-    product = np.multiply.outer(np.multiply.outer(q, q), q)
-    np.testing.assert_array_equal(got.probs, product)
-    np.testing.assert_allclose(got.probs, df.densify(df.iid(q, 3)).probs, atol=1e-16)
+def test_measure_mixture_values_and_barycenter():
+    # the mixture of a mixing measure is iid_mixture over its atoms
+    single = [(1.0, (0.3, 0.7))]
+    got = df.iid_mixture(single, 3)
+    assert got.seq_prob((1, 2)) == 0.3 * math.pow(0.7, 2)
+    assert got.q == df.iid((0.3, 0.7), 3).q
 
     two = df.MixingMeasure(
         m=2, k=2, m_star=2, weights=(0.5, 0.5),
         components=(np.array([0.2, 0.8]), np.array([0.8, 0.2])),
         conditioning_types=((0, 0), (0, 0)),
     )
-    pair = df.mixture_dist(two, 2)
-    assert pair.probs[0, 1] == pair.probs[1, 0]
-    assert df.is_exchangeable(pair, tol=1e-12)
-    bary = df.mixture_dist(two, 1)
-    np.testing.assert_allclose(bary.probs, [0.5, 0.5], atol=1e-15)
+    pair = df.iid_mixture(zip(two.weights, two.components), 2)
+    assert pair.seq_prob((1, 1)) == pytest.approx(0.16, abs=1e-16)
+    bary = df.iid_mixture(zip(two.weights, two.components), 1)
+    assert bary.seq_prob((1, 0)) == pytest.approx(0.5, abs=1e-15)
+    assert bary.seq_prob((0, 1)) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_certify_iid_and_k1_exact():
@@ -221,7 +217,10 @@ def test_constructed_mixtures_are_exchangeable():
     for name, law in fixture_corpus()[:8]:
         k = 2
         mu = df.build_mixing_measure(law, k, df.select_mstar(law, k)[0])
-        assert df.is_exchangeable(df.mixture_dist(mu, k), tol=1e-12), name
+        dense = sum(w * orc.product_d(c, k) for w, c in zip(mu.weights, mu.components))
+        assert df.is_exchangeable(df.GenericJoint(law.m, dense), tol=1e-12), name
+        mix = df.iid_mixture(zip(mu.weights, mu.components), k)
+        np.testing.assert_allclose(df.densify(mix).probs, dense, rtol=0, atol=1e-15)
 
 
 def test_certify_rejects_bad_k():
@@ -388,9 +387,20 @@ def test_certify_every_k_without_type_pairs(law, monkeypatch):
 
 def test_type_block_size_does_not_change_certificates(monkeypatch):
     law = df.random_dirichlet(2, 4, 14)
-    before = [df.certify(law, k).as_dict() for k in (3, 7, 11)]
-    monkeypatch.setattr(df.bounds, "TYPE_BLOCK_ENTRIES", 7)
-    assert [df.certify(law, k).as_dict() for k in (3, 7, 11)] == before
+
+    def outputs():
+        fit = df.fit_mixture_weights(
+            df.marginal(law, 4), df.component_grid(4, 3), max_iter=30
+        )
+        return (
+            [df.certify(law, k).as_dict() for k in (3, 7, 11)],
+            df.iid_mixture(TRI_MIX, 12).q,
+            (fit.weights.tolist(), fit.divergence, fit.gap),
+        )
+
+    before = outputs()
+    monkeypatch.setattr(df.generators, "TYPE_BLOCK_ENTRIES", 7)
+    assert outputs() == before
 
 
 def test_extendability_trend():
@@ -409,7 +419,7 @@ def test_mixture_of_iids_recovers_zero_divergence():
     # laws that are k-marginals of iid mixtures: the optimizer initialized at
     # the true mixture returns essentially zero divergence
     law = df.iid_mixture(BERN_MIX, 6)
-    target = df.densify(df.marginal(law, 2))
+    target = df.marginal(law, 2)
     comps = [np.asarray(d) for _, d in BERN_MIX]
     fit = df.fit_mixture_weights(target, comps, init_weights=[0.5, 0.5])
     assert fit.divergence <= 1e-10

@@ -39,6 +39,23 @@ def test_iid_mixture_against_oracle():
     np.testing.assert_allclose(df.densify(law).probs, dense, atol=1e-15)
 
 
+def test_iid_mixture_values_are_libm_pow_products_bit_for_bit():
+    # q(T) = fsum_j w_j prod_a pow(c_j[a], T_a), with C library powers taken
+    # one symbol at a time: the bytes must not depend on numpy's SIMD kernels
+    rng = np.random.default_rng(5)
+    for m, n, count in ((2, 30, 4), (3, 20, 3)):
+        dists = [tuple(rng.dirichlet(np.ones(m)).tolist()) for _ in range(count)]
+        weights = rng.dirichlet(np.ones(count)).tolist()
+        weights[-1] = 1.0 - math.fsum(weights[:-1])
+        law = df.iid_mixture(list(zip(weights, dists)), n)
+        single = df.iid(dists[0], n)
+        for t in df.enumerate_types(m, n):
+            terms = [w * math.prod(math.pow(x, e) for x, e in zip(d, t))
+                     for w, d in zip(weights, dists)]
+            assert law.seq_prob(t) == math.fsum(terms), (m, n, t)
+            assert single.seq_prob(t) == math.prod(math.pow(x, e) for x, e in zip(dists[0], t))
+
+
 def test_iid_mixture_validation():
     with pytest.raises(ValueError):
         df.iid_mixture([], 3)

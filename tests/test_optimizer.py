@@ -7,6 +7,7 @@ import pytest
 
 import definetti as df
 
+import oracle as orc
 from corpus import fixture_corpus
 
 
@@ -24,7 +25,7 @@ def test_component_grid_counts_and_values():
 def test_fit_representable_target():
     q = np.array([0.3, 0.7])
     comps = [np.array([0.5, 0.5]), q, np.array([0.8, 0.2])]
-    target = df.densify(df.iid(q, 3))
+    target = df.iid(q, 3)
     fit = df.fit_mixture_weights(target, comps)
     assert fit.divergence <= 1e-6
     assert fit.weights[1] >= 0.99  # weight concentrates on the true component
@@ -32,16 +33,16 @@ def test_fit_representable_target():
 
 
 def test_fit_single_component():
-    target = df.densify(df.iid((0.3, 0.7), 3))
+    target = df.iid((0.3, 0.7), 3)
     comp = np.array([0.5, 0.5])
     fit = df.fit_mixture_weights(target, [comp])
     assert fit.weights[0] == 1.0
-    direct = df.relative_entropy(target.probs, df.densify(df.iid(comp, 3)).probs)
+    direct = orc.kl_d(orc.dense_from_law(target), orc.dense_iid_mixture([1.0], [comp], 3))
     assert fit.divergence == pytest.approx(direct, abs=1e-12)
 
 
 def test_fit_unreachable_support_reports_infinity():
-    target = df.densify(df.diaconis_pair())
+    target = df.diaconis_pair()
     fit = df.fit_mixture_weights(target, [np.array([1.0, 0.0])])
     assert fit.divergence == math.inf
     assert fit.converged
@@ -51,7 +52,7 @@ def test_fit_unreachable_support_reports_infinity():
 def test_fit_diaconis_pair_grid_floor():
     # the pair is not an iid mixture: its best mixture divergence is log 2,
     # reached by concentrating on the fair coin.  Frozen regression value.
-    target = df.densify(df.diaconis_pair())
+    target = df.diaconis_pair()
     fit = df.fit_mixture_weights(target, df.component_grid(2, 100))
     assert fit.divergence >= math.log(2) - 1e-12
     assert fit.divergence == pytest.approx(0.6931471830577823, abs=1e-9)
@@ -60,7 +61,7 @@ def test_fit_diaconis_pair_grid_floor():
 
 def test_fit_traces_are_nonincreasing():
     for _, law in fixture_corpus()[:6]:
-        target = df.densify(df.marginal(law, 2))
+        target = df.marginal(law, 2)
         grid = df.component_grid(law.m, 6)
         fit = df.fit_mixture_weights(target, grid)
         for prev, nxt in zip(fit.trace, fit.trace[1:]):
@@ -70,7 +71,7 @@ def test_fit_traces_are_nonincreasing():
 
 def test_fit_multi_start_consistency():
     law = df.polya((1, 1), 5)
-    target = df.densify(df.marginal(law, 2))
+    target = df.marginal(law, 2)
     grid = df.component_grid(2, 10)
     finals = []
     for seed in range(10):
@@ -81,7 +82,7 @@ def test_fit_multi_start_consistency():
 
 def test_fit_gap_is_nonnegative_and_bounds_the_optimum():
     for _, law in fixture_corpus()[:6]:
-        target = df.densify(df.marginal(law, 2))
+        target = df.marginal(law, 2)
         grid = df.component_grid(law.m, 6)
         short = df.fit_mixture_weights(target, grid, max_iter=50)
         longer = df.fit_mixture_weights(target, grid, max_iter=500)
@@ -91,14 +92,42 @@ def test_fit_gap_is_nonnegative_and_bounds_the_optimum():
 
 
 def test_fit_gap_unreachable_support_and_as_dict_keys():
-    fit = df.fit_mixture_weights(df.densify(df.diaconis_pair()), [np.array([1.0, 0.0])])
+    fit = df.fit_mixture_weights(df.diaconis_pair(), [np.array([1.0, 0.0])])
     assert fit.gap == 0.0
-    fit = df.fit_mixture_weights(df.densify(df.iid((0.3, 0.7), 2)), df.component_grid(2, 4))
-    assert tuple(fit.as_dict()) == ("weights", "divergence", "iterations", "converged", "trace")
+    fit = df.fit_mixture_weights(df.iid((0.3, 0.7), 2), df.component_grid(2, 4))
+    assert tuple(fit.as_dict()) == (
+        "weights", "divergence", "iterations", "converged", "gap", "trace"
+    )
+    assert fit.as_dict()["gap"] == fit.gap
+
+
+def test_fit_matches_dense_em_oracle():
+    # both starts of improve_certificate, a fixed number of EM steps (tol=-1
+    # never stops early), against an EM over the m**k sequences
+    checked = 0
+    for name, law in fixture_corpus():
+        if law.n > 6 or law.m > 3:
+            continue
+        arr = orc.dense_from_law(law)
+        for k in range(1, law.n):
+            mu = df.build_mixing_measure(law, k, df.select_mstar(law, k)[0])
+            comps = list(mu.components) + df.component_grid(law.m, 4)
+            feasible = np.zeros(len(comps))
+            feasible[: mu.atom_count] = mu.weights
+            for init in (feasible, np.ones(len(comps))):
+                fit = df.fit_mixture_weights(
+                    df.marginal(law, k), comps, max_iter=40, tol=-1.0, init_weights=init
+                )
+                assert fit.iterations == 40
+                w, div = orc.em_fit_d(orc.marginal_d(arr, k), comps, init, 40)
+                np.testing.assert_allclose(fit.weights, w, rtol=0, atol=1e-12, err_msg=name)
+                assert fit.divergence == pytest.approx(max(0.0, div), abs=1e-12), (name, k)
+                checked += 1
+    assert checked >= 100
 
 
 def test_fit_argument_errors():
-    target = df.densify(df.iid((0.5, 0.5), 2))
+    target = df.iid((0.5, 0.5), 2)
     with pytest.raises(ValueError):
         df.fit_mixture_weights(target, [])
     with pytest.raises(ValueError):
@@ -113,6 +142,10 @@ def test_fit_argument_errors():
             [np.array([1.0, 0.0]), np.array([0.5, 0.5])],
             init_weights=[1.0, 0.0],
         )
+    with pytest.raises(ValueError, match="component alphabet mismatch"):
+        df.fit_mixture_weights(target, [np.array([0.2, 0.3, 0.5])])
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        df.fit_mixture_weights(df.iid((0.5, 0.5), 0), [np.array([0.5, 0.5])])
 
 
 def test_improve_certificate_iid_and_k1():
