@@ -187,8 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--grid-resolution", type=int, default=10)
     opt.add_argument("--atoms-only", action="store_true",
                      help="fit over the constructed atoms only (no grid)")
-    opt.add_argument("--max-iter", type=int, default=100_000)
-    opt.add_argument("--tol", type=float, default=1e-12)
+    opt.add_argument("--max-iter", type=int, default=100_000,
+                     help="most Newton iterations of the weight fit (>= 0)")
+    opt.add_argument("--tol", type=float, default=1e-12,
+                     help="stop once the certified gap, a bound in nats on the fit's "
+                          "distance to the best weights, is at most this")
     opt.add_argument("--format", choices=("json",), default="json")
     opt.add_argument("-o", "--out")
     opt.set_defaults(func=cmd_optimize)

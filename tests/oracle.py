@@ -249,3 +249,12 @@ def em_fit_d(target, comps, init, iterations):
         w = w * (rows @ (t[support] / (w @ rows)))
         w = w / w.sum()
     return w, kl_d(t[support], w @ rows)
+
+
+def gap_d(target, comps, weights):
+    """Lindsay's gap log max_j sum_x t(x) C_j(x) / M_w(x) over sequences."""
+    t = np.asarray(target).ravel()
+    support = t > 0.0
+    rows = np.array([product_d(c, np.ndim(target)).ravel()[support] for c in comps])
+    ratio = t[support] / (np.asarray(weights, dtype=float) @ rows)
+    return log(max(fsum((row * ratio).tolist()) for row in rows))

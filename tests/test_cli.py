@@ -291,6 +291,22 @@ def test_optimize_rejects_pair_at_k2(tmp_path, capsys):
     assert "k must satisfy" in err
 
 
+def test_optimize_rejects_bad_stop_rule(polya_law_path, capsys):
+    for flags, message in ((["--max-iter", "-5"], "max_iter"), (["--tol", "nan"], "NaN")):
+        code, out, err = run_inproc(
+            ["optimize", "--law", polya_law_path, "--k", "2", *flags], capsys
+        )
+        assert code == 2, flags
+        assert out == ""
+        assert message in err
+    code, out, _ = run_inproc(
+        ["optimize", "--law", polya_law_path, "--k", "2", "--max-iter", "0"], capsys
+    )
+    assert code == 0
+    fit = json.loads(out)["fit"]
+    assert fit["iterations"] == 0 and fit["converged"] is (fit["gap"] <= 1e-12)
+
+
 def test_optimize_atoms_only_matches_certify(polya_law_path, capsys):
     code, out, _ = run_inproc(
         ["optimize", "--law", polya_law_path, "--k", "2", "--atoms-only"], capsys

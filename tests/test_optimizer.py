@@ -1,4 +1,4 @@
-"""Weight fitting (monotone multiplicative updates) and the adversarial probe."""
+"""Weight fitting (constrained Newton steps, gap-certified stop) and the adversarial probe."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 import definetti as df
 
 import oracle as orc
-from corpus import fixture_corpus
+from corpus import dirichlet_corpus, fixture_corpus
 
 
 def test_component_grid_counts_and_values():
@@ -51,12 +51,12 @@ def test_fit_unreachable_support_reports_infinity():
 
 def test_fit_diaconis_pair_grid_floor():
     # the pair is not an iid mixture: its best mixture divergence is log 2,
-    # reached by concentrating on the fair coin.  Frozen regression value.
+    # reached by concentrating on the fair coin, which is on the grid.
     target = df.diaconis_pair()
     fit = df.fit_mixture_weights(target, df.component_grid(2, 100))
     assert fit.divergence >= math.log(2) - 1e-12
-    assert fit.divergence == pytest.approx(0.6931471830577823, abs=1e-9)
-    assert fit.converged
+    assert fit.divergence == pytest.approx(math.log(2), abs=1e-12)
+    assert fit.converged and fit.gap <= 1e-12
 
 
 def test_fit_traces_are_nonincreasing():
@@ -84,8 +84,8 @@ def test_fit_gap_is_nonnegative_and_bounds_the_optimum():
     for _, law in fixture_corpus()[:6]:
         target = df.marginal(law, 2)
         grid = df.component_grid(law.m, 6)
-        short = df.fit_mixture_weights(target, grid, max_iter=50)
-        longer = df.fit_mixture_weights(target, grid, max_iter=500)
+        short = df.fit_mixture_weights(target, grid, max_iter=1)
+        longer = df.fit_mixture_weights(target, grid)
         assert short.gap >= -1e-15
         # the gap certifies how far the short run can be from the optimum
         assert short.divergence - short.gap <= longer.divergence + 1e-12
@@ -101,9 +101,9 @@ def test_fit_gap_unreachable_support_and_as_dict_keys():
     assert fit.as_dict()["gap"] == fit.gap
 
 
-def test_fit_matches_dense_em_oracle():
-    # both starts of improve_certificate, a fixed number of EM steps (tol=-1
-    # never stops early), against an EM over the m**k sequences
+def test_fit_against_dense_em_and_dense_gap():
+    # the oracle's EM over the m**k sequences, from the uniform start, cannot
+    # beat the fit; its own gap at the fitted weights equals the fit's
     checked = 0
     for name, law in fixture_corpus():
         if law.n > 6 or law.m > 3:
@@ -114,16 +114,43 @@ def test_fit_matches_dense_em_oracle():
             comps = list(mu.components) + df.component_grid(law.m, 4)
             feasible = np.zeros(len(comps))
             feasible[: mu.atom_count] = mu.weights
-            for init in (feasible, np.ones(len(comps))):
-                fit = df.fit_mixture_weights(
-                    df.marginal(law, k), comps, max_iter=40, tol=-1.0, init_weights=init
-                )
-                assert fit.iterations == 40
-                w, div = orc.em_fit_d(orc.marginal_d(arr, k), comps, init, 40)
-                np.testing.assert_allclose(fit.weights, w, rtol=0, atol=1e-12, err_msg=name)
-                assert fit.divergence == pytest.approx(max(0.0, div), abs=1e-12), (name, k)
-                checked += 1
-    assert checked >= 100
+            fit = df.fit_mixture_weights(df.marginal(law, k), comps, init_weights=feasible)
+            dense = orc.marginal_d(arr, k)
+            _, em_div = orc.em_fit_d(dense, comps, np.ones(len(comps)), 2000)
+            assert fit.divergence <= max(0.0, em_div) + 1e-12, (name, k)
+            assert orc.gap_d(dense, comps, fit.weights) == pytest.approx(fit.gap, abs=1e-12)
+            checked += 1
+    assert checked >= 50
+
+
+def test_fit_stop_contract():
+    # converged <=> gap <= tol, whatever stopped the fit
+    law = df.polya((2, 1, 1), 5)
+    target = df.marginal(law, 3)
+    grid = df.component_grid(3, 5)
+    for max_iter, tol in ((0, 1e-12), (1, 1e-12), (2, 1e-6), (100, 1e-12), (100, -1.0),
+                          (0, math.inf)):
+        fit = df.fit_mixture_weights(target, grid, max_iter=max_iter, tol=tol)
+        assert fit.converged == (fit.gap <= tol), (max_iter, tol)
+        assert len(fit.trace) == fit.iterations + 1 <= max_iter + 1
+    # every iteration lowers the objective; the trace can stay level only at
+    # 0 or on the last step, whose decrease can be below the value's rounding
+    for _, law in fixture_corpus() + dirichlet_corpus(range(3)):
+        cert, fit = df.improve_certificate(law, 2, grid_resolution=6)
+        assert fit.converged and fit.gap <= 1e-12
+        assert len(fit.trace) == fit.iterations + 1
+        for i, (prev, nxt) in enumerate(zip(fit.trace, fit.trace[1:]), start=1):
+            assert nxt < prev or (nxt == prev and (nxt == 0.0 or i == fit.iterations))
+        assert fit.trace[-1] == fit.divergence
+
+
+def test_fit_former_max_iter_law_converges():
+    # an EM fit of this law ran into max_iter=100000 at divergence 4.468828e-4
+    cert, fit = df.improve_certificate(df.random_dirichlet(3, 2, 12), 4, grid_resolution=20)
+    assert fit.converged and fit.gap <= 1e-12
+    assert fit.iterations <= 20
+    assert fit.divergence <= 4.468828e-4
+    assert fit.divergence <= cert.D
 
 
 def test_fit_argument_errors():
@@ -146,6 +173,12 @@ def test_fit_argument_errors():
         df.fit_mixture_weights(target, [np.array([0.2, 0.3, 0.5])])
     with pytest.raises(ValueError, match="at least one coordinate"):
         df.fit_mixture_weights(df.iid((0.5, 0.5), 0), [np.array([0.5, 0.5])])
+    with pytest.raises(ValueError, match="max_iter"):
+        df.fit_mixture_weights(target, [np.array([0.5, 0.5])], max_iter=-5)
+    with pytest.raises(ValueError, match="NaN"):
+        df.fit_mixture_weights(target, [np.array([0.5, 0.5])], tol=math.nan)
+    with pytest.raises(ValueError, match="max_iter"):
+        df.improve_certificate(df.polya((1, 1), 4), 2, max_iter=-1)
 
 
 def test_improve_certificate_iid_and_k1():
