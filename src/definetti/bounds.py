@@ -44,10 +44,9 @@ import numpy as np
 from .core import (
     ExchangeableLaw,
     _marginal_table,
+    _type_table,
     block_entropies,
-    conditional_component,
     enumerate_types,
-    multiplicity,
     single_letter_marginal,
 )
 from .generators import _mixture_masses
@@ -185,29 +184,25 @@ def build_mixing_measure(law: ExchangeableLaw, k: int, m_star: int) -> MixingMea
 
     Suffix assignments are grouped by type (the conditional law depends only
     on the type), so the atom count is bounded by the number of types of
-    length m_star - k rather than by m**(m_star-k).
+    length m_star - k rather than by m**(m_star-k).  Atom w's component is
+    the successor row of w in the next marginal divided by w's own value,
+    as :func:`definetti.core.conditional_component` computes it.
     """
     if not (1 <= k <= m_star <= law.n):
         raise ValueError("need 1 <= k <= m_star <= n")
     cond_len = m_star - k
     tbl = _marginal_table(law)
-    weights = []
-    comps = []
-    wtypes = []
-    for w in enumerate_types(law.m, cond_len):
-        pseq = tbl[cond_len][w]
-        if pseq <= 0.0:
-            continue
-        weights.append(multiplicity(w) * pseq)
-        comps.append(conditional_component(law, cond_len, w))
-        wtypes.append(w)
+    table = _type_table(law.m, cond_len)
+    keep = np.flatnonzero(tbl[cond_len] > 0.0)
+    pw = tbl[cond_len][keep]
+    types = enumerate_types(law.m, cond_len)
     return MixingMeasure(
         m=law.m,
         k=k,
         m_star=m_star,
-        weights=tuple(weights),
-        components=tuple(comps),
-        conditioning_types=tuple(wtypes),
+        weights=tuple((table.mult[keep] * pw).tolist()),
+        components=tuple(tbl[cond_len + 1][table.succ[keep]] / pw[:, None]),
+        conditioning_types=tuple(types[i] for i in keep.tolist()),
     )
 
 
@@ -218,11 +213,9 @@ def _type_masses(law: ExchangeableLaw, mu: MixingMeasure, k: int):
     the prefix's per-sequence probability, and Q_T = mult(T) q_T with q_T from
     :func:`definetti.generators._mixture_masses`.
     """
-    types = enumerate_types(law.m, k)
-    row = _marginal_table(law)[k]
-    mult = np.array([multiplicity(t) for t in types], dtype=float)
-    prefix = np.array([row[t] for t in types])
-    return mult * prefix, mult * _mixture_masses(mu.weights, mu.components, types)
+    table = _type_table(law.m, k)
+    prefix = table.mult * _marginal_table(law)[k]
+    return prefix, table.mult * _mixture_masses(mu.weights, mu.components, table.counts)
 
 
 def certify(law: ExchangeableLaw, k: int, tol: float = 1e-9) -> Certificate:

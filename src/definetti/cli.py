@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .bounds import Certificate, CertificationError, certify
@@ -143,7 +144,13 @@ def _add_generator_flags(cmd, n_as_range: bool) -> None:
         cmd.add_argument("--n", dest="n_single", type=int, help="sequence length")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on first use and shared afterwards.
+
+    Parsing does not change the parser, so in-process callers of
+    :func:`main` build it once.
+    """
     parser = argparse.ArgumentParser(
         prog="definetti",
         description="Exact mixture-representation certificates for exchangeable laws on finite alphabets.",

@@ -16,6 +16,12 @@ Conventions used throughout the package:
   size grows as m**L, so only ``lemma1_decomposition`` and the tests use it;
   certification and the weight fit work on types throughout.
 
+Derived tables are float arrays indexed in ``enumerate_types`` order.  The
+index tables they need (the type vectors, the multiplicities and, for each
+type and symbol a, the position of the type plus one a among the types one
+longer) depend only on (m, L), so they are built once per (m, L) and shared
+by every law (:func:`_type_table`).  ``law.q`` stays a dict keyed by type.
+
 All operations are pure.  ``ExchangeableLaw`` instances are immutable after
 construction; the private attributes only memoize derived tables (the
 marginal table and the block entropies).  They are filled lazily without
@@ -56,14 +62,8 @@ class UndefinedConditionalError(ValueError):
     """The conditioning event has probability zero."""
 
 
-@lru_cache(maxsize=None)
-def enumerate_types(m: int, length: int) -> tuple[tuple[int, ...], ...]:
-    """All count vectors of ``length`` items over ``m`` symbols.
-
-    The order is lexicographic in the counts, is the canonical iteration
-    order everywhere in this package, and is what makes serialized laws and
-    reports byte-stable.
-    """
+def _type_count(m: int, length: int) -> int:
+    """Number of types of ``length`` over ``m`` symbols, refused beyond MAX_TYPES."""
     if m < 1:
         raise ValueError("alphabet size must be >= 1")
     if length < 0:
@@ -74,6 +74,18 @@ def enumerate_types(m: int, length: int) -> tuple[tuple[int, ...], ...]:
             f"m={m}, length={length} has {count} types, more than the supported "
             f"{MAX_TYPES}"
         )
+    return count
+
+
+@lru_cache(maxsize=None)
+def enumerate_types(m: int, length: int) -> tuple[tuple[int, ...], ...]:
+    """All count vectors of ``length`` items over ``m`` symbols.
+
+    The order is lexicographic in the counts, is the canonical iteration
+    order everywhere in this package, and is what makes serialized laws and
+    reports byte-stable.
+    """
+    _type_count(m, length)
     if m == 1:
         return ((length,),)
     out = []
@@ -113,12 +125,79 @@ def sequence_type(m: int, seq) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _successors(m: int, length: int):
-    """For each type of ``length``, its m successor types of length+1."""
-    return tuple(
-        tuple(t[:a] + (t[a] + 1,) + t[a + 1 :] for a in range(m))
-        for t in enumerate_types(m, length)
+def _class_sizes(m: int, length: int) -> np.ndarray:
+    """sizes[s, r] = number of types of length r over s symbols, r <= length."""
+    return np.array(
+        [[math.comb(r + s - 1, s - 1) if s else 0 for r in range(length + 1)]
+         for s in range(m + 1)],
+        dtype=np.int64,
     )
+
+
+def _rank(counts: np.ndarray, length: int) -> np.ndarray:
+    """Positions in ``enumerate_types(m, length)`` of the rows of ``counts``.
+
+    The types before t are those whose first count is below t_0, plus the
+    ones that share t_0 and precede the rest of t among the shorter types
+    over the remaining symbols, so the position is
+    sum_j N(m-j, r_j) - N(m-j, r_j - t_j), with r_j the length left after the
+    first j counts and N(s, r) the number of types of length r over s symbols.
+    """
+    m = counts.shape[1]
+    sizes = _class_sizes(m, length)
+    rank = np.zeros(len(counts), dtype=np.intp)
+    rest = np.full(len(counts), length, dtype=np.intp)
+    for j in range(m - 1):
+        rank += sizes[m - j, rest] - sizes[m - j, rest - counts[:, j]]
+        rest -= counts[:, j]
+    return rank
+
+
+@dataclass(frozen=True, eq=False)
+class TypeTable:
+    """Index tables of the types of one length, in ``enumerate_types`` order.
+
+    ``counts[i]`` is the i-th type vector, ``mult[i]`` its multiplicity as a
+    float, and ``succ[i, a]`` the position of ``counts[i] + e_a`` among the
+    types one longer.  The arrays are read-only: every law shares them.
+    """
+
+    counts: np.ndarray
+    mult: np.ndarray
+    succ: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _type_table(m: int, length: int) -> TypeTable:
+    """The :class:`TypeTable` of (m, length), built from that of length - 1.
+
+    Every type of a positive length is a successor of a shorter one, so the
+    type vectors come from scattering the shorter table's vectors through
+    its successor positions, without enumerating tuples.  Multiplicities are
+    exact integers from one factorial table, converted to float once.
+    Lengths beyond :data:`MAX_LENGTH` are refused, as in :func:`multiplicity`.
+    """
+    size = _type_count(m, length)
+    if length > MAX_LENGTH:
+        raise ValueError(
+            f"block length {length} exceeds the supported exact range (L <= {MAX_LENGTH})"
+        )
+    units = np.eye(m, dtype=np.intp)
+    if length == 0:
+        counts = np.zeros((1, m), dtype=np.intp)
+    else:
+        prev = _type_table(m, length - 1)
+        counts = np.empty((size, m), dtype=np.intp)
+        for a in range(m):
+            counts[prev.succ[:, a]] = prev.counts + units[a]
+    succ = np.empty((size, m), dtype=np.intp)
+    for a in range(m):
+        succ[:, a] = _rank(counts + units[a], length + 1)
+    fact = np.array([math.factorial(c) for c in range(length + 1)], dtype=object)
+    mult = (math.factorial(length) // fact[counts].prod(axis=1)).astype(float)
+    for arr in (counts, mult, succ):
+        arr.flags.writeable = False
+    return TypeTable(counts, mult, succ)
 
 
 @lru_cache(maxsize=None)
@@ -130,10 +209,6 @@ def _type_index(m: int, length: int):
     for j, x in enumerate(np.ndindex(*((m,) * length))):
         idx[j] = pos[sequence_type(m, x)]
     return types, idx
-
-
-def _add(t: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(t, s))
 
 
 class ExchangeableLaw:
@@ -165,7 +240,9 @@ class ExchangeableLaw:
                 if not (p >= 0.0) or math.isinf(p):
                     raise ValueError(f"invalid probability {p} for type {key}")
                 q[key] = p
-            total = fsum(multiplicity(t) * p for t, p in q.items())
+            keys = np.array(list(q), dtype=np.intp).reshape(len(q), self.m)
+            mult = _type_table(self.m, self.n).mult[_rank(keys, self.n)]
+            total = fsum((mult * np.array(list(q.values()), dtype=float)).tolist())
             if abs(total - 1.0) > tol:
                 raise ValueError(
                     f"type probabilities sum to {total!r}, off by more than {tol}"
@@ -223,22 +300,26 @@ class BlockJoint:
     joint: dict
 
 
-def _marginal_table(law: ExchangeableLaw):
-    """Per-sequence marginal probabilities for every block length 0..n."""
+def _marginal_table(law: ExchangeableLaw) -> list[np.ndarray]:
+    """Per-sequence marginal probabilities for every block length 0..n.
+
+    Entry L is a read-only array over ``enumerate_types(m, L)``.  A type's
+    value is the sum of its m successors' values, added left to right in
+    symbol order.
+    """
     tbl = law._marginals
     if tbl is None:
         m, n = law.m, law.n
         tbl = [None] * (n + 1)
-        tbl[n] = {t: law.q.get(t, 0.0) for t in enumerate_types(m, n)}
+        tbl[n] = np.array([law.q.get(t, 0.0) for t in enumerate_types(m, n)], dtype=float)
         for length in range(n, 0, -1):
-            prev = tbl[length]
-            cur = {}
-            for t, succ in zip(enumerate_types(m, length - 1), _successors(m, length - 1)):
-                acc = 0.0
-                for u in succ:
-                    acc += prev[u]
-                cur[t] = acc
+            prev, succ = tbl[length], _type_table(m, length - 1).succ
+            cur = np.zeros(len(succ))
+            for a in range(m):
+                cur += prev[succ[:, a]]
             tbl[length - 1] = cur
+        for row in tbl:
+            row.flags.writeable = False
         law._marginals = tbl
     return tbl
 
@@ -252,10 +333,13 @@ def block_entropies(law: ExchangeableLaw) -> list[float]:
     """
     ent = law._entropies
     if ent is None:
-        ent = [
-            fsum(-multiplicity(t) * p * log(p) for t, p in row.items() if p > 0.0)
-            for row in _marginal_table(law)
-        ]
+        ent = []
+        for length, row in enumerate(_marginal_table(law)):
+            pos = row > 0.0
+            p = row[pos]
+            logs = np.array([log(x) for x in p.tolist()])
+            terms = -_type_table(law.m, length).mult[pos] * p * logs
+            ent.append(fsum(terms.tolist()))
         law._entropies = ent
     return ent
 
@@ -266,16 +350,15 @@ def marginal(law: ExchangeableLaw, k: int) -> ExchangeableLaw:
         raise ValueError(f"k must be in [0, {law.n}]")
     if k == law.n:
         return law
-    return ExchangeableLaw(law.m, k, _marginal_table(law)[k], validate=False)
+    row = _marginal_table(law)[k].tolist()
+    return ExchangeableLaw(law.m, k, dict(zip(enumerate_types(law.m, k), row)), validate=False)
 
 
 def single_letter_marginal(law: ExchangeableLaw) -> np.ndarray:
     """Distribution of one coordinate as a letter-distribution vector."""
     if law.n < 1:
         raise ValueError("law has no coordinates")
-    row = _marginal_table(law)[1]
-    m = law.m
-    return np.array([row[tuple(1 if a == b else 0 for b in range(m))] for a in range(m)])
+    return _marginal_table(law)[1][_type_table(law.m, 0).succ[0]]
 
 
 def densify(law: ExchangeableLaw) -> GenericJoint:
@@ -311,7 +394,7 @@ def is_exchangeable(j: GenericJoint, tol: float = 1e-12) -> bool:
     types, idx = _type_index(m, L)
     flat = j.probs.ravel()
     class_total = np.bincount(idx, weights=flat, minlength=len(types))
-    class_size = np.array([multiplicity(t) for t in types], dtype=float)
+    class_size = _type_table(m, L).mult
     means = class_total / class_size
     return float(np.max(np.abs(flat - means[idx]))) <= tol
 
@@ -320,12 +403,11 @@ def block_joint(law: ExchangeableLaw, a: int, b: int) -> BlockJoint:
     """Exact joint law of two disjoint coordinate blocks of sizes a and b."""
     if a < 0 or b < 0 or a + b > law.n:
         raise ValueError("need a, b >= 0 and a + b <= n")
-    qab = _marginal_table(law)[a + b]
-    joint = {}
-    for ta in enumerate_types(law.m, a):
-        for tb in enumerate_types(law.m, b):
-            joint[(ta, tb)] = qab[_add(ta, tb)]
-    return BlockJoint(law.m, a, b, joint)
+    m = law.m
+    pairs = _type_table(m, a).counts[:, None, :] + _type_table(m, b).counts[None, :, :]
+    vals = _marginal_table(law)[a + b][_rank(pairs.reshape(-1, m), a + b)].tolist()
+    keys = ((ta, tb) for ta in enumerate_types(m, a) for tb in enumerate_types(m, b))
+    return BlockJoint(m, a, b, dict(zip(keys, vals)))
 
 
 def conditional_component(law: ExchangeableLaw, block_len: int, w_type) -> np.ndarray:
@@ -341,11 +423,11 @@ def conditional_component(law: ExchangeableLaw, block_len: int, w_type) -> np.nd
     if len(w) != law.m or sum(w) != block_len or any(c < 0 for c in w):
         raise ValueError(f"invalid conditioning type {w}")
     tbl = _marginal_table(law)
-    pw = tbl[block_len][w]
+    i = _rank(np.array([w], dtype=np.intp), block_len)[0]
+    pw = tbl[block_len][i]
     if pw <= 0.0:
         raise UndefinedConditionalError(f"conditioning type {w} has zero probability")
-    nxt = tbl[1 + block_len]
-    return np.array([nxt[w[:a] + (w[a] + 1,) + w[a + 1 :]] for a in range(law.m)]) / pw
+    return tbl[1 + block_len][_type_table(law.m, block_len).succ[i]] / pw
 
 
 def conditional_block(law: ExchangeableLaw, k: int, block_len: int, w_type) -> GenericJoint:
@@ -360,12 +442,12 @@ def conditional_block(law: ExchangeableLaw, k: int, block_len: int, w_type) -> G
     if len(w) != law.m or sum(w) != block_len or any(c < 0 for c in w):
         raise ValueError(f"invalid conditioning type {w}")
     tbl = _marginal_table(law)
-    pw = tbl[block_len][w]
+    pw = tbl[block_len][_rank(np.array([w], dtype=np.intp), block_len)[0]]
     if pw <= 0.0:
         raise UndefinedConditionalError(f"conditioning type {w} has zero probability")
-    big = tbl[k + block_len]
-    types, idx = _type_index(law.m, k)
-    vals = np.array([big[_add(t, w)] for t in types]) / pw
+    joined = _type_table(law.m, k).counts + np.array(w, dtype=np.intp)
+    vals = tbl[k + block_len][_rank(joined, k + block_len)] / pw
+    _, idx = _type_index(law.m, k)
     return GenericJoint(law.m, vals[idx].reshape((law.m,) * k))
 
 

@@ -14,7 +14,7 @@ from math import fsum
 
 import numpy as np
 
-from .core import ExchangeableLaw, enumerate_types, multiplicity
+from .core import ExchangeableLaw, _type_table, enumerate_types
 
 KINDS = ("iid", "iid_mixture", "polya", "urn", "diaconis_pair", "random_dirichlet")
 
@@ -37,20 +37,22 @@ def as_letter_dist(p, tol: float = 1e-12) -> np.ndarray:
 TYPE_BLOCK_ENTRIES = 2**18
 
 
-def _component_table(components, types):
+def _component_table(components, counts):
     """prod_a c_j[a]**T_a for each component j (rows) and type T (columns).
 
-    Yields the table in column blocks of at most ``TYPE_BLOCK_ENTRIES``
-    entries, in the order of ``types``, which share one length.  Powers come
-    from the C library's ``pow`` and the products are taken one symbol at a
-    time, so the values do not depend on numpy's SIMD kernels.
+    ``counts`` holds one type vector per row, all of one length.  Yields the
+    table in column blocks of at most ``TYPE_BLOCK_ENTRIES`` entries, in the
+    order of ``counts``.  Powers come from the C library's ``pow`` and the
+    products are taken one symbol at a time, so the values do not depend on
+    numpy's SIMD kernels.
     """
-    counts = np.array(types, dtype=np.intp)
     m = counts.shape[1]
     comps = [np.asarray(c, dtype=float).ravel().tolist() for c in components]
     if any(len(c) != m for c in comps):
         raise ValueError("component alphabet mismatch")
-    powers = np.array([[[x**e for e in range(sum(types[0]) + 1)] for x in c] for c in comps])
+    exps = range(int(counts[0].sum()) + 1)
+    flat = [x**e for c in comps for x in c for e in exps]
+    powers = np.array(flat).reshape(len(comps), m, len(exps))
     step = max(1, TYPE_BLOCK_ENTRIES // len(comps))
     for lo in range(0, len(counts), step):
         part = counts[lo : lo + step]
@@ -60,7 +62,7 @@ def _component_table(components, types):
         yield table
 
 
-def _mixture_masses(weights, components, types) -> np.ndarray:
+def _mixture_masses(weights, components, counts) -> np.ndarray:
     """Per-sequence mixture probabilities q_T = sum_j w_j prod_a c_j[a]**T_a.
 
     Each q_T is an fsum over the components, so the values do not depend on
@@ -68,7 +70,7 @@ def _mixture_masses(weights, components, types) -> np.ndarray:
     """
     w = np.array(weights, dtype=float)[:, None]
     out = []
-    for table in _component_table(components, types):
+    for table in _component_table(components, counts):
         out += [fsum(col) for col in (w * table).T.tolist()]
     return np.array(out)
 
@@ -89,9 +91,9 @@ def iid_mixture(components, n: int) -> ExchangeableLaw:
         raise ValueError("weights must be nonnegative")
     if abs(fsum(weights) - 1.0) > 1e-12:
         raise ValueError("weights must sum to 1")
-    types = enumerate_types(dists[0].size, n)
-    q = dict(zip(types, _mixture_masses(weights, dists, types).tolist()))
-    return ExchangeableLaw(dists[0].size, n, q)
+    m = dists[0].size
+    masses = _mixture_masses(weights, dists, _type_table(m, n).counts)
+    return ExchangeableLaw(m, n, dict(zip(enumerate_types(m, n), masses.tolist())))
 
 
 def iid(dist, n: int) -> ExchangeableLaw:
@@ -177,7 +179,7 @@ def random_dirichlet(seed: int, m: int, n: int, concentration: float = 1.0) -> E
     types = enumerate_types(m, n)
     rng = np.random.default_rng(int(seed))
     masses = rng.dirichlet(np.full(len(types), float(concentration)))
-    q = {t: float(g) / multiplicity(t) for t, g in zip(types, masses)}
+    q = dict(zip(types, (masses / _type_table(m, n).mult).tolist()))
     return ExchangeableLaw(m, n, q)
 
 

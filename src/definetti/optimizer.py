@@ -24,7 +24,7 @@ from math import inf, isnan, log
 import numpy as np
 
 from .bounds import Certificate, build_mixing_measure, certify
-from .core import ExchangeableLaw, enumerate_types, marginal, multiplicity
+from .core import ExchangeableLaw, _type_table, enumerate_types, marginal
 from .generators import _component_table
 
 
@@ -228,11 +228,11 @@ def fit_mixture_weights(
         raise ValueError("need at least one component")
     if target.n < 1:
         raise ValueError("target must have at least one coordinate")
-    types = enumerate_types(target.m, target.n)
-    mult = np.array([multiplicity(t) for t in types], dtype=float)
-    rows = mult * np.hstack(list(_component_table(components, types)))
+    table = _type_table(target.m, target.n)
+    rows = table.mult * np.hstack(list(_component_table(components, table.counts)))
 
-    t = mult * np.array([target.seq_prob(u) for u in types])
+    types = enumerate_types(target.m, target.n)
+    t = table.mult * np.array([target.seq_prob(u) for u in types])
     support = t > 0.0
     ts = t[support]
     rows_s = np.ascontiguousarray(rows[:, support])
@@ -332,12 +332,11 @@ def adversarial_search(
     if restarts < 1 or steps < 0:
         raise ValueError("need restarts >= 1 and steps >= 0")
     types = enumerate_types(m, n)
-    mults = [multiplicity(t) for t in types]
+    mults = _type_table(m, n).mult
     denom = k * (k - 1) / (2.0 * (n - k + 1)) * log(m)
 
     def as_law(masses: np.ndarray) -> ExchangeableLaw:
-        q = {t: float(g) / mult for t, g, mult in zip(types, masses, mults)}
-        return ExchangeableLaw(m, n, q)
+        return ExchangeableLaw(m, n, dict(zip(types, (masses / mults).tolist())))
 
     def ratio_of(masses: np.ndarray) -> float:
         cert = certify(as_law(masses), k)

@@ -268,7 +268,7 @@ def test_certified_tv_matches_oracle():
 def _reference_D_tv(law, k, m_star):
     """D and tv at 50 digits from the float type law and the float atoms."""
     mu = df.build_mixing_measure(law, k, m_star)
-    row = core._marginal_table(law)[k]
+    prefix = df.marginal(law, k)
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         D = tv = Decimal(0)
@@ -280,7 +280,7 @@ def _reference_D_tv(law, k, m_star):
                 for c, count in zip(comp.tolist(), t):
                     term *= Decimal(c) ** count
                 q += term
-            P, Q = mult * Decimal(row[t]), mult * q
+            P, Q = mult * Decimal(prefix.seq_prob(t)), mult * q
             if P > 0:
                 D += P * (P.ln() - Q.ln())
             tv += abs(P - Q)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import definetti as df
-from definetti.core import FILE_NORM_TOL, MAX_TYPES
+from definetti.core import FILE_NORM_TOL, MAX_LENGTH, MAX_TYPES, _rank, _type_table
 
 import oracle as orc
 from corpus import fixture_corpus
@@ -29,6 +29,28 @@ def test_enumerate_types_errors():
     assert math.comb(30 + 5 - 1, 5 - 1) <= MAX_TYPES  # m=5, n=30 stays supported
     with pytest.raises(ValueError, match="types"):
         df.enumerate_types(10, 30)  # C(39, 9) ~ 2.1e8 types
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_type_tables_match_enumeration(m):
+    # every length with at most ~5k types, from L = 0 (one type of all zeros)
+    length = 0
+    while length <= MAX_LENGTH and math.comb(length + m - 1, m - 1) <= 5000:
+        types = df.enumerate_types(m, length)
+        longer = df.enumerate_types(m, length + 1)
+        table = _type_table(m, length)
+        assert table.counts.tolist() == [list(t) for t in types]
+        assert table.mult.tolist() == [float(df.multiplicity(t)) for t in types]
+        assert table.succ.shape == (len(types), m)
+        for t, row in zip(types, table.succ.tolist()):
+            assert [longer[i] for i in row] == [
+                t[:a] + (t[a] + 1,) + t[a + 1 :] for a in range(m)
+            ]
+        assert _rank(np.array(types), length).tolist() == list(range(len(types)))
+        assert not (table.counts.flags.writeable or table.mult.flags.writeable
+                    or table.succ.flags.writeable)
+        length += 1
+    assert length > 1
 
 
 def test_block_entropies_iid_and_oracle():
